@@ -1,15 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: SAX parse
-// throughput, key-path encoding, normalized-key comparison, loser-tree
-// merge width, external-stack paging, and unit serialization.
+// throughput, XML escaping/unescaping, key-path encoding, normalized-key
+// comparison, loser-tree merge width, external-stack paging, unit
+// serialization, and the in-memory subtree sort.
 #include <benchmark/benchmark.h>
 
 #include "core/element_unit.h"
 #include "core/order_spec.h"
+#include "core/subtree_sorter.h"
+#include "core/unit_scanner.h"
 #include "env/sort_env.h"
 #include "extmem/ext_stack.h"
 #include "sort/key_path.h"
 #include "sort/loser_tree.h"
 #include "util/random.h"
+#include "xml/escape.h"
 #include "xml/generator.h"
 #include "xml/sax_parser.h"
 
@@ -59,6 +63,56 @@ void BM_SaxParseDepthOnly(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * doc.size());
 }
 BENCHMARK(BM_SaxParseDepthOnly);
+
+// Attribute values shaped like the benchmark documents': mostly clean
+// padding, with the occasional byte that needs an entity.
+std::vector<std::string> AttributeValues() {
+  Random rng(5);
+  std::vector<std::string> values;
+  for (int i = 0; i < 256; ++i) {
+    std::string value = rng.Identifier(8) + std::string(rng.Uniform(120), 'x');
+    if (i % 8 == 0) value.insert(rng.Uniform(value.size()), "&\"<");
+    values.push_back(std::move(value));
+  }
+  return values;
+}
+
+void BM_EscapeAttribute(benchmark::State& state) {
+  const std::vector<std::string> values = AttributeValues();
+  uint64_t bytes = 0;
+  for (const std::string& value : values) bytes += value.size();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const std::string& value : values) {
+      AppendEscapedAttribute(&out, value);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_EscapeAttribute);
+
+void BM_Unescape(benchmark::State& state) {
+  std::vector<std::string> escaped;
+  uint64_t bytes = 0;
+  for (const std::string& value : AttributeValues()) {
+    escaped.emplace_back();
+    AppendEscapedAttribute(&escaped.back(), value);
+    bytes += escaped.back().size();
+  }
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const std::string& value : escaped) {
+      // Escaper output always unescapes.
+      (void)AppendUnescaped(&out, value);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_Unescape);
 
 void BM_KeyPathEncode(benchmark::State& state) {
   Random rng(2);
@@ -181,6 +235,49 @@ void BM_UnitSerialize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UnitSerialize);
+
+// One whole-document region sorted in memory: the subtree sort NEXSORT
+// runs for every subtree that fits, minus the scan that feeds it.
+void BM_SortSubtreeInMemory(benchmark::State& state) {
+  auto env_or =
+      SortEnvBuilder().BlockSize(64 * 1024).MemoryBlocks(64).Build();
+  if (!env_or.ok()) {
+    state.SkipWithError("SortEnv::Create failed");
+    return;
+  }
+  std::unique_ptr<SortEnv> env = std::move(env_or).value();
+  SortEnv::Session session = env->NewSession();
+  OrderSpec spec = OrderSpec::ByAttribute("id", /*numeric=*/true);
+  NameDictionary dictionary;
+  UnitFormat format;
+  std::string region;
+  StringByteSource source(TestDocument());
+  UnitScanner scanner(&source, &spec);
+  ScanEvent event;
+  while (true) {
+    auto more = scanner.Next(&event);
+    if (!more.ok() || !*more) break;
+    if (event.kind != ScanEvent::Kind::kEnd) {
+      AppendUnit(&region, event.unit, format, &dictionary);
+    }
+  }
+  SubtreeSortContext ctx;
+  ctx.store = session.run_store();
+  ctx.dictionary = &dictionary;
+  ctx.format = format;
+  ctx.memory_blocks = 32;
+  SubtreeSortStats stats;
+  for (auto _ : state) {
+    ElementUnit root;
+    auto run = SortSubtreeInMemory(ctx, region, &root, &stats);
+    if (!run.ok() || !ctx.store->FreeRun(*run).ok()) {
+      state.SkipWithError("subtree sort failed");
+      return;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * region.size());
+}
+BENCHMARK(BM_SortSubtreeInMemory);
 
 }  // namespace
 }  // namespace nexsort

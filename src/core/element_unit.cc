@@ -79,79 +79,24 @@ void AppendUnit(std::string* dst, const ElementUnit& unit,
   }
 }
 
-namespace {
-
-Status ParseName(std::string_view* input, const UnitFormat& format,
-                 const NameDictionary* dictionary, std::string* name) {
-  if (format.use_dictionary) {
-    uint32_t id = 0;
-    RETURN_IF_ERROR(GetVarint32(input, &id));
-    ASSIGN_OR_RETURN(std::string_view resolved, dictionary->Lookup(id));
-    name->assign(resolved);
-  } else {
-    std::string_view raw;
-    RETURN_IF_ERROR(GetLengthPrefixed(input, &raw));
-    name->assign(raw);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status ParseUnit(std::string_view* input, ElementUnit* unit,
                  const UnitFormat& format, const NameDictionary* dictionary) {
-  if (input->empty()) return Status::Corruption("empty unit");
-  uint8_t type_byte = static_cast<uint8_t>(input->front());
-  input->remove_prefix(1);
-  if (type_byte < 1 || type_byte > 5) {
-    return Status::Corruption("bad unit type " + std::to_string(type_byte));
-  }
-  unit->type = static_cast<UnitType>(type_byte);
-  unit->key.clear();
-  unit->name.clear();
-  unit->attributes.clear();
-  unit->text.clear();
-  unit->run = RunHandle();
-  RETURN_IF_ERROR(GetVarint32(input, &unit->level));
-  RETURN_IF_ERROR(GetVarint64(input, &unit->seq));
-  std::string_view view;
-  switch (unit->type) {
-    case UnitType::kStart: {
-      RETURN_IF_ERROR(ParseName(input, format, dictionary, &unit->name));
-      uint64_t attr_count = 0;
-      RETURN_IF_ERROR(GetVarint64(input, &attr_count));
-      if (attr_count > input->size()) {
-        return Status::Corruption("implausible attribute count");
-      }
-      unit->attributes.resize(attr_count);
-      for (XmlAttribute& attr : unit->attributes) {
-        RETURN_IF_ERROR(ParseName(input, format, dictionary, &attr.name));
-        RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-        attr.value.assign(view);
-      }
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->key.assign(view);
-      break;
-    }
-    case UnitType::kText:
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->text.assign(view);
-      break;
-    case UnitType::kEnd:
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->key.assign(view);
-      break;
-    case UnitType::kPointer:
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->key.assign(view);
-      RETURN_IF_ERROR(GetVarint32(input, &unit->run.id));
-      RETURN_IF_ERROR(GetVarint64(input, &unit->run.byte_size));
-      break;
-    case UnitType::kFragment:
-      RETURN_IF_ERROR(GetVarint32(input, &unit->run.id));
-      RETURN_IF_ERROR(GetVarint64(input, &unit->run.byte_size));
-      break;
-  }
+  UnitView view;
+  RETURN_IF_ERROR(DecodeUnitView(input, &view, format, dictionary));
+  unit->type = view.type;
+  unit->level = view.level;
+  unit->seq = view.seq;
+  unit->key.assign(view.key);
+  unit->name.assign(view.name);
+  unit->text.assign(view.text);
+  unit->run = view.run;
+  unit->attributes.resize(view.attribute_count);
+  size_t i = 0;
+  ForEachAttribute(view, [&](std::string_view name, std::string_view value) {
+    unit->attributes[i].name.assign(name);
+    unit->attributes[i].value.assign(value);
+    ++i;
+  });
   return Status::OK();
 }
 
@@ -167,22 +112,21 @@ RunUnitReader::RunUnitReader(RunStore* store, RunHandle handle,
   init_status_ = reader_.init_status();
 }
 
-StatusOr<bool> RunUnitReader::Next(ElementUnit* unit) {
+StatusOr<bool> RunUnitReader::Next(UnitView* view) {
   // Refill so that either a whole unit is buffered or the run is drained.
   // Units written by this library are far smaller than one refill chunk, so
-  // a parse failure with bytes still available means "need more", and a
+  // a decode failure with bytes still available means "need more", and a
   // failure at true end of run means corruption.
   constexpr size_t kRefill = 4096;
   while (true) {
-    std::string_view view(buffer_.data() + buffer_pos_,
-                          buffer_.size() - buffer_pos_);
-    if (!view.empty()) {
-      std::string_view cursor = view;
-      Status st = ParseUnit(&cursor, unit, format_, dictionary_);
+    std::string_view buffered(buffer_.data() + buffer_pos_,
+                              buffer_.size() - buffer_pos_);
+    if (!buffered.empty()) {
+      std::string_view cursor = buffered;
+      Status st = DecodeUnitView(&cursor, view, format_, dictionary_);
       if (st.ok()) {
-        size_t consumed = view.size() - cursor.size();
-        buffer_pos_ += consumed;
-        logical_offset_ += consumed;
+        buffer_pos_ += view->bytes.size();
+        logical_offset_ += view->bytes.size();
         return true;
       }
       if (reader_.bytes_remaining() == 0) return st;

@@ -90,23 +90,25 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
           path.resize(rel == 0 ? 0 : path_ends[rel - 1]);
           path_ends.resize(rel);
         }
-        std::string composite = path;
+        // The record's key is `path` plus its own component; a start
+        // unit's component stays on as its descendants' prefix.
+        size_t parent_end = path.size();
         // Below the sorting depth, an empty key leaves document order (the
         // sequence number) in charge.
         bool sortable =
             owner->options_.depth_limit == 0 ||
             unit.level <=
                 static_cast<uint32_t>(owner->options_.depth_limit) + 1;
-        AppendKeyPathComponent(&composite, sortable ? unit.key : "",
-                               unit.seq);
-        if (event.kind == ScanEvent::Kind::kStart) {
-          path = composite;
-          path_ends.push_back(path.size());
-        }
+        AppendKeyPathComponent(&path, sortable ? unit.key : "", unit.seq);
         serialized.clear();
         AppendUnit(&serialized, unit, owner->format_, &owner->dictionary_);
-        owner->stats_.key_path_bytes += composite.size();
-        RETURN_IF_ERROR(sorter_->Add(composite, serialized));
+        owner->stats_.key_path_bytes += path.size();
+        RETURN_IF_ERROR(sorter_->Add(path, serialized));
+        if (event.kind == ScanEvent::Kind::kStart) {
+          path_ends.push_back(path.size());
+        } else {
+          path.resize(parent_end);
+        }
       }
     }
     owner->stats_.scan = scanner.stats();
@@ -161,9 +163,10 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
       return Status::OK();
     }
     std::string_view view = value_;
-    RETURN_IF_ERROR(ParseUnit(&view, &unit_, owner_->format_,
-                              &owner_->dictionary_));
-    return emitter_->Emit(unit_);
+    UnitView unit;
+    RETURN_IF_ERROR(DecodeUnitView(&view, &unit, owner_->format_,
+                                   &owner_->dictionary_));
+    return emitter_->Emit(unit);
   }
 
   /// The tail of the eager Sort(): close the emitter, record stats, publish
@@ -195,7 +198,6 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
   std::unique_ptr<UnitXmlEmitter> emitter_;
   std::string key_;
   std::string value_;
-  ElementUnit unit_;
   Status status_;
   bool merge_done_ = false;  // final merge exhausted
   bool completed_ = false;   // completion work done

@@ -393,7 +393,7 @@ class NexSorter::OutputStream final : public SortedStream {
   /// runs and resuming parents as the traversal dictates.
   [[nodiscard]] Status Step() {
     RETURN_IF_ERROR(CheckCancelled(owner_->sort_context_.cancel));
-    ElementUnit unit;
+    UnitView unit;
     ASSIGN_OR_RETURN(bool more, reader_->Next(&unit));
     if (!more) {
       if (locations_->empty()) {

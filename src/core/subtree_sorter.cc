@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/order_spec.h"
@@ -17,26 +18,76 @@ namespace nexsort {
 namespace {
 
 // ---------------------------------------------------------------------
-// In-memory tree representation of a parsed unit sequence.
+// In-memory tree over a region's serialized units. Nodes are views into
+// the region bytes: a subtree sort orders index lists and copies each
+// unit's bytes verbatim, decoding nothing into owning strings.
 // ---------------------------------------------------------------------
 
-struct ParsedForest {
-  std::vector<ElementUnit> nodes;
-  std::vector<std::vector<int>> children;
-  std::vector<int> roots;                 // top-level nodes, document order
-  std::vector<RunHandle> fragments;       // kFragment units found at top level
-  uint32_t top_level = 0;                 // level of the roots
+constexpr uint32_t kNoParent = UINT32_MAX;
+
+struct ForestNode {
+  std::string_view bytes;  // the serialized unit
+  std::string_view key;    // own key, or the one its kEnd unit donated
+  uint64_t seq = 0;
+  uint32_t level = 0;
+  uint32_t key_offset = 0;     // kStart: offset of lp(key) in bytes
+  uint32_t parent = kNoParent;
+  uint32_t first_child = 0;    // children: child_index[first_child, +count)
+  uint32_t child_count = 0;
+  bool donated = false;        // key came from the kEnd unit
+  bool sort_children = false;  // this node's children list is reordered
 };
+
+struct ParsedForest {
+  std::vector<ForestNode> nodes;      // kStart/kText/kPointer, doc order
+  std::vector<uint32_t> child_index;  // every node's children, by parent
+  std::vector<uint32_t> roots;        // top-level nodes, document order
+  std::vector<RunHandle> fragments;   // kFragment units found at top level
+  uint32_t top_level = 0;             // level of the roots
+
+  std::span<uint32_t> children(uint32_t node) {
+    return {child_index.data() + nodes[node].first_child,
+            nodes[node].child_count};
+  }
+  std::span<const uint32_t> children(uint32_t node) const {
+    return {child_index.data() + nodes[node].first_child,
+            nodes[node].child_count};
+  }
+};
+
+bool TagInScope(const SubtreeSortContext& ctx, std::string_view tag) {
+  if (ctx.scope_tags == nullptr || ctx.scope_tags->empty()) return true;
+  for (const std::string& scoped : *ctx.scope_tags) {
+    if (scoped == tag) return true;
+  }
+  return false;
+}
+
+// Whether the children of a start element at `level` named `tag` are
+// reordered: the element must be within the depth limit (children of an
+// element at level L are sorted iff L <= depth_limit, or no limit) and its
+// tag in the XSort-style scope.
+bool SortsChildren(const SubtreeSortContext& ctx, uint32_t level,
+                   std::string_view tag) {
+  if (ctx.depth_limit != 0 &&
+      level > static_cast<uint32_t>(ctx.depth_limit)) {
+    return false;  // below the sorting depth: keep document order
+  }
+  return TagInScope(ctx, tag);
+}
 
 // Parse `units` into a forest. kEnd units donate their keys to the matching
 // start and are dropped. kFragment units may only appear at the top level.
 Status ParseForest(const SubtreeSortContext& ctx, std::string_view units,
                    ParsedForest* forest) {
-  std::vector<int> stack;  // indices of open kStart nodes
+  std::vector<uint32_t> stack;  // indices of open kStart nodes
+  // A guess at the unit count (serialized units average well over 32
+  // bytes) that spares most of the vector regrowth.
+  forest->nodes.reserve(units.size() / 32);
   bool first = true;
+  UnitView unit;
   while (!units.empty()) {
-    ElementUnit unit;
-    RETURN_IF_ERROR(ParseUnit(&units, &unit, ctx.format, ctx.dictionary));
+    RETURN_IF_ERROR(DecodeUnitView(&units, &unit, ctx.format, ctx.dictionary));
     if (first) {
       forest->top_level = unit.level;
       first = false;
@@ -48,7 +99,11 @@ Status ParseForest(const SubtreeSortContext& ctx, std::string_view units,
       }
       if (!stack.empty() &&
           forest->nodes[stack.back()].level == unit.level) {
-        if (!unit.key.empty()) forest->nodes[stack.back()].key = unit.key;
+        ForestNode& start = forest->nodes[stack.back()];
+        if (!unit.key.empty()) {
+          start.key = unit.key;
+          start.donated = true;
+        }
         stack.pop_back();
       }
       continue;
@@ -67,80 +122,102 @@ Status ParseForest(const SubtreeSortContext& ctx, std::string_view units,
       forest->fragments.push_back(unit.run);
       continue;
     }
-    int index = static_cast<int>(forest->nodes.size());
+    uint32_t index = static_cast<uint32_t>(forest->nodes.size());
     bool is_start = unit.type == UnitType::kStart;
-    forest->nodes.push_back(std::move(unit));
-    forest->children.emplace_back();
+    ForestNode& node = forest->nodes.emplace_back();
+    node.bytes = unit.bytes;
+    node.key = unit.key;
+    node.seq = unit.seq;
+    node.level = unit.level;
+    node.key_offset = static_cast<uint32_t>(unit.key_offset);
+    node.sort_children = is_start && SortsChildren(ctx, unit.level, unit.name);
     if (stack.empty()) {
       forest->roots.push_back(index);
     } else {
-      forest->children[stack.back()].push_back(index);
+      node.parent = stack.back();
+      ++forest->nodes[stack.back()].child_count;
     }
     if (is_start) stack.push_back(index);
+  }
+  // Lay the children lists out contiguously, in document order.
+  uint32_t offset = 0;
+  for (ForestNode& node : forest->nodes) {
+    node.first_child = offset;
+    offset += node.child_count;
+    node.child_count = 0;
+  }
+  forest->child_index.resize(offset);
+  for (uint32_t i = 0; i < forest->nodes.size(); ++i) {
+    uint32_t parent_index = forest->nodes[i].parent;
+    if (parent_index == kNoParent) continue;
+    ForestNode& parent = forest->nodes[parent_index];
+    forest->child_index[parent.first_child + parent.child_count++] = i;
   }
   return Status::OK();
 }
 
-bool TagInScope(const SubtreeSortContext& ctx, const std::string& tag) {
-  if (ctx.scope_tags == nullptr || ctx.scope_tags->empty()) return true;
-  for (const std::string& scoped : *ctx.scope_tags) {
-    if (scoped == tag) return true;
-  }
-  return false;
+// Sort sibling indices by (key, seq). Ties fall back to the index, i.e.
+// document order, so the order is total and this equals a stable sort.
+void SortSiblings(const ParsedForest& forest, std::span<uint32_t> list) {
+  auto by_key = [&forest](uint32_t a, uint32_t b) {
+    const ForestNode& na = forest.nodes[a];
+    const ForestNode& nb = forest.nodes[b];
+    if (int order = na.key.compare(nb.key); order != 0) return order < 0;
+    if (na.seq != nb.seq) return na.seq < nb.seq;
+    return a < b;
+  };
+  std::sort(list.begin(), list.end(), by_key);
 }
 
 // Sort every children list reachable in the forest, honouring depth_limit
-// (children of an element at level L are sorted iff L <= depth_limit, or no
-// limit) and the XSort-style tag scope. Root lists in a *forest* belong to
-// the enclosing open element at top_level - 1.
+// and the XSort-style tag scope. Root lists in a *forest* belong to the
+// enclosing open element at top_level - 1.
 void SortForestLists(const SubtreeSortContext& ctx, ParsedForest* forest,
                      bool sort_roots) {
-  auto by_key = [forest](int a, int b) {
-    const ElementUnit& ua = forest->nodes[a];
-    const ElementUnit& ub = forest->nodes[b];
-    return KeySeqLess(ua.key, ua.seq, ub.key, ub.seq);
-  };
   if (sort_roots) {
     uint32_t parent_level = forest->top_level - 1;
     if (ctx.depth_limit == 0 ||
         parent_level <= static_cast<uint32_t>(ctx.depth_limit)) {
-      std::stable_sort(forest->roots.begin(), forest->roots.end(), by_key);
+      SortSiblings(*forest, forest->roots);
     }
   }
-  for (size_t i = 0; i < forest->nodes.size(); ++i) {
-    if (forest->children[i].empty()) continue;
-    uint32_t level = forest->nodes[i].level;
-    if (ctx.depth_limit != 0 &&
-        level > static_cast<uint32_t>(ctx.depth_limit)) {
-      continue;  // below the sorting depth: keep document order
+  for (uint32_t i = 0; i < forest->nodes.size(); ++i) {
+    const ForestNode& node = forest->nodes[i];
+    if (node.child_count > 1 && node.sort_children) {
+      SortSiblings(*forest, forest->children(i));
     }
-    if (!TagInScope(ctx, forest->nodes[i].name)) continue;
-    std::stable_sort(forest->children[i].begin(), forest->children[i].end(),
-                     by_key);
   }
+}
+
+// Append one node's unit: verbatim, or with its donated key spliced in.
+void AppendNode(const ForestNode& node, std::string* out) {
+  if (!node.donated) {
+    out->append(node.bytes);
+    return;
+  }
+  SpliceStartKey(out, node.bytes, node.key_offset, node.key);
 }
 
 // Serialize node `root_index` and its subtree depth-first into *out.
 // Iterative so pathological chain documents cannot overflow the C++ stack.
-void SerializeSubtree(const SubtreeSortContext& ctx,
-                      const ParsedForest& forest, int root_index,
+void SerializeSubtree(const ParsedForest& forest, uint32_t root_index,
                       std::string* out) {
   struct Frame {
-    int node;
-    size_t next_child;
+    uint32_t node = 0;
+    uint32_t next_child = 0;
   };
   std::vector<Frame> stack;
   stack.push_back({root_index, 0});
-  AppendUnit(out, forest.nodes[root_index], ctx.format, ctx.dictionary);
+  AppendNode(forest.nodes[root_index], out);
   while (!stack.empty()) {
     Frame& frame = stack.back();
-    const auto& child_list = forest.children[frame.node];
+    std::span<const uint32_t> child_list = forest.children(frame.node);
     if (frame.next_child >= child_list.size()) {
       stack.pop_back();
       continue;
     }
-    int child = child_list[frame.next_child++];
-    AppendUnit(out, forest.nodes[child], ctx.format, ctx.dictionary);
+    uint32_t child = child_list[frame.next_child++];
+    AppendNode(forest.nodes[child], out);
     stack.push_back({child, 0});
   }
 }
@@ -163,41 +240,37 @@ class SubtreeStream {
   virtual Status CopySubtree(ByteSink* out) = 0;
 };
 
-// Stream over the in-memory sorted forest.
+// Stream over sorted sibling subtrees of the in-memory forest.
 class MemoryForestStream final : public SubtreeStream {
  public:
-  MemoryForestStream(const SubtreeSortContext& ctx, const ParsedForest& forest)
-      : ctx_(ctx), forest_(forest) {}
+  MemoryForestStream(const ParsedForest& forest,
+                     std::span<const uint32_t> roots)
+      : forest_(forest), roots_(roots) {}
 
-  bool exhausted() const override {
-    return cursor_ >= forest_.roots.size();
-  }
+  bool exhausted() const override { return cursor_ >= roots_.size(); }
   std::string_view key() const override {
-    return forest_.nodes[forest_.roots[cursor_]].key;
+    return forest_.nodes[roots_[cursor_]].key;
   }
-  uint64_t seq() const override {
-    return forest_.nodes[forest_.roots[cursor_]].seq;
-  }
+  uint64_t seq() const override { return forest_.nodes[roots_[cursor_]].seq; }
   Status CopySubtree(ByteSink* out) override {
     scratch_.clear();
-    SerializeSubtree(ctx_, forest_, forest_.roots[cursor_], &scratch_);
+    SerializeSubtree(forest_, roots_[cursor_], &scratch_);
     ++cursor_;
     return out->Append(scratch_);
   }
 
  private:
-  const SubtreeSortContext& ctx_;
   const ParsedForest& forest_;
+  std::span<const uint32_t> roots_;
   size_t cursor_ = 0;
   std::string scratch_;
 };
 
-// Stream over an incomplete sorted run on disk.
+// Stream over an incomplete sorted run on disk; units are copied verbatim.
 class FragmentStream final : public SubtreeStream {
  public:
   FragmentStream(const SubtreeSortContext& ctx, RunHandle handle)
-      : ctx_(ctx),
-        reader_(ctx.store, handle, 0, ctx.format, ctx.dictionary) {}
+      : reader_(ctx.store, handle, 0, ctx.format, ctx.dictionary) {}
 
   Status Open() {
     RETURN_IF_ERROR(reader_.init_status());
@@ -213,9 +286,9 @@ class FragmentStream final : public SubtreeStream {
 
   Status CopySubtree(ByteSink* out) override {
     // Emit units until the next unit at the top level (the next sibling
-    // root) or end of run.
-    scratch_.clear();
-    AppendUnit(&scratch_, pending_, ctx_.format, ctx_.dictionary);
+    // root) or end of run. pending_ points into the reader's buffer, so it
+    // is copied out before the reader advances.
+    scratch_.assign(pending_.bytes);
     while (true) {
       ASSIGN_OR_RETURN(bool more, reader_.Next(&pending_));
       if (!more) {
@@ -223,7 +296,7 @@ class FragmentStream final : public SubtreeStream {
         break;
       }
       if (pending_.level <= top_level_) break;  // next sibling
-      AppendUnit(&scratch_, pending_, ctx_.format, ctx_.dictionary);
+      scratch_.append(pending_.bytes);
       if (scratch_.size() >= 64 * 1024) {
         RETURN_IF_ERROR(out->Append(scratch_));
         scratch_.clear();
@@ -233,9 +306,8 @@ class FragmentStream final : public SubtreeStream {
   }
 
  private:
-  const SubtreeSortContext& ctx_;
   RunUnitReader reader_;
-  ElementUnit pending_;
+  UnitView pending_;
   uint32_t top_level_ = 0;
   bool exhausted_ = false;
   std::string scratch_;
@@ -356,11 +428,16 @@ StatusOr<RunHandle> SortSubtreeInMemory(const SubtreeSortContext& ctx,
   if (forest.roots.size() != 1) {
     return Status::Corruption("subtree region does not have a single root");
   }
-  if (forest.nodes[forest.roots[0]].type != UnitType::kStart) {
+  const uint32_t root = forest.roots[0];
+  const ForestNode& root_node = forest.nodes[root];
+  // Only the region root is decoded in full, for the caller.
+  std::string_view root_bytes = root_node.bytes;
+  RETURN_IF_ERROR(ParseUnit(&root_bytes, root_out, ctx.format, ctx.dictionary));
+  if (root_out->type != UnitType::kStart) {
     return Status::Corruption("subtree root is not a start unit");
   }
+  root_out->key.assign(root_node.key);
   SortForestLists(ctx, &forest, /*sort_roots=*/false);
-  *root_out = forest.nodes[forest.roots[0]];
   region_reservation.Reset();
 
   // This run is re-read by the output DFS long after later subtree sorts
@@ -372,22 +449,16 @@ StatusOr<RunHandle> SortSubtreeInMemory(const SubtreeSortContext& ctx,
   RETURN_IF_ERROR(writer.init_status());
   if (forest.fragments.empty()) {
     std::string buffer;
-    SerializeSubtree(ctx, forest, forest.roots[0], &buffer);
+    buffer.reserve(units.size());
+    SerializeSubtree(forest, root, &buffer);
     RETURN_IF_ERROR(writer.Append(buffer));
   } else {
     // Fragments are forests of the root's children: emit the root start
     // unit, then merge the in-memory children with the fragment streams.
     std::string root_unit;
-    AppendUnit(&root_unit, forest.nodes[forest.roots[0]], ctx.format,
-               ctx.dictionary);
+    AppendNode(root_node, &root_unit);
     RETURN_IF_ERROR(writer.Append(root_unit));
-    // Re-parent: the memory stream iterates the root's (sorted) children.
-    ParsedForest child_forest;
-    child_forest.nodes = std::move(forest.nodes);
-    child_forest.children = std::move(forest.children);
-    child_forest.roots = child_forest.children[forest.roots[0]];
-    child_forest.top_level = forest.top_level + 1;
-    MemoryForestStream memory_stream(ctx, child_forest);
+    MemoryForestStream memory_stream(forest, forest.children(root));
     RETURN_IF_ERROR(MergeFragments(ctx, std::move(forest.fragments),
                                    &memory_stream, &writer, stats));
   }
@@ -414,9 +485,9 @@ StatusOr<RunHandle> SortForestInMemory(const SubtreeSortContext& ctx,
   RunWriter writer = ctx.store->NewRun();
   RETURN_IF_ERROR(writer.init_status());
   std::string buffer;
-  for (int root : forest.roots) {
+  for (uint32_t root : forest.roots) {
     buffer.clear();
-    SerializeSubtree(ctx, forest, root, &buffer);
+    SerializeSubtree(forest, root, &buffer);
     RETURN_IF_ERROR(writer.Append(buffer));
     if (buffer.size() > 256 * 1024) buffer.shrink_to_fit();
   }
@@ -453,29 +524,22 @@ Status ExternalSubtreeSorter::UnitSink::Append(std::string_view data) {
   ExternalSubtreeSorter* owner = owner_;
   if (!owner->status_.ok()) return owner->status_;
   owner->pending_.append(data);
-  // Parse as many complete units as the buffer holds; a parse failure with
-  // a short buffer means "wait for more bytes" (our own writer produced
-  // this stream, so genuine corruption only surfaces at Finish).
-  std::string_view view = owner->pending_;
-  size_t consumed = 0;
-  ElementUnit unit;
-  while (!view.empty()) {
-    std::string_view cursor = view;
-    Status st = ParseUnit(&cursor, &unit, owner->ctx_.format,
-                          owner->ctx_.dictionary);
-    if (!st.ok()) break;
-    std::string_view serialized = view.substr(0, view.size() - cursor.size());
-    RETURN_IF_ERROR(owner->FeedUnit(unit, serialized));
-    consumed += serialized.size();
-    view = cursor;
+  // Decode as many complete units as the buffer holds; a decode failure
+  // with a short buffer means "wait for more bytes" (our own writer
+  // produced this stream, so genuine corruption only surfaces at Finish).
+  std::string_view rest = owner->pending_;
+  UnitView unit;
+  while (!rest.empty() && DecodeUnitView(&rest, &unit, owner->ctx_.format,
+                                         owner->ctx_.dictionary)
+                              .ok()) {
+    RETURN_IF_ERROR(owner->FeedUnit(unit));
   }
-  owner->pending_.erase(0, consumed);
+  owner->pending_.erase(0, owner->pending_.size() - rest.size());
   return Status::OK();
 }
 
-Status ExternalSubtreeSorter::FeedUnit(const ElementUnit& unit,
-                                       std::string_view serialized) {
-  bytes_fed_ += serialized.size();
+Status ExternalSubtreeSorter::FeedUnit(const UnitView& unit) {
+  bytes_fed_ += unit.bytes.size();
   if (unit.type == UnitType::kEnd) return Status::OK();  // levels suffice
   if (unit.type == UnitType::kFragment) {
     return Status::NotSupported(
@@ -486,7 +550,9 @@ Status ExternalSubtreeSorter::FeedUnit(const ElementUnit& unit,
       return Status::Corruption("subtree root is not a start unit");
     }
     root_level_ = unit.level;
-    root_ = unit;
+    std::string_view root_bytes = unit.bytes;
+    RETURN_IF_ERROR(
+        ParseUnit(&root_bytes, &root_, ctx_.format, ctx_.dictionary));
     have_root_ = true;
   }
   // Key path: the (key, seq) components of the unit's open ancestors
@@ -495,26 +561,22 @@ Status ExternalSubtreeSorter::FeedUnit(const ElementUnit& unit,
   if (rel < path_ends_.size()) {
     path_.resize(rel == 0 ? 0 : path_ends_[rel - 1]);
     path_ends_.resize(rel);
-    open_names_.resize(rel);
+    sorts_children_.resize(rel);
   }
   // A unit is reordered among its siblings only when its parent's list is
-  // sorted at all: the parent must be within the depth limit and (for
-  // XSort-style scoped sorting) have an in-scope tag. Otherwise encode an
+  // sorted at all (depth limit, XSort-style scope). Otherwise encode an
   // empty key so the sequence number alone — document order — rules.
-  bool parent_sorted =
-      rel == 0 ||
-      ((ctx_.depth_limit == 0 ||
-        unit.level - 1 <= static_cast<uint32_t>(ctx_.depth_limit)) &&
-       TagInScope(ctx_, open_names_.back()));
-  std::string composite = path_;
-  AppendKeyPathComponent(&composite, parent_sorted ? unit.key : "",
-                         unit.seq);
+  bool parent_sorted = rel == 0 || sorts_children_.back();
+  size_t parent_end = path_.size();
+  AppendKeyPathComponent(&path_, parent_sorted ? unit.key : "", unit.seq);
+  RETURN_IF_ERROR(sorter_->Add(path_, unit.bytes));
   if (unit.type == UnitType::kStart) {
-    path_ = composite;
     path_ends_.push_back(path_.size());
-    open_names_.push_back(unit.name);
+    sorts_children_.push_back(SortsChildren(ctx_, unit.level, unit.name));
+  } else {
+    path_.resize(parent_end);
   }
-  return sorter_->Add(composite, serialized);
+  return Status::OK();
 }
 
 StatusOr<RunHandle> ExternalSubtreeSorter::Finish(ElementUnit* root_out) {

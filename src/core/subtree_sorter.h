@@ -135,7 +135,7 @@ class ExternalSubtreeSorter {
     ExternalSubtreeSorter* owner_;
   };
 
-  [[nodiscard]] Status FeedUnit(const ElementUnit& unit, std::string_view serialized);
+  [[nodiscard]] Status FeedUnit(const UnitView& unit);
 
   const SubtreeSortContext& ctx_;
   SubtreeSortStats* stats_;
@@ -145,7 +145,7 @@ class ExternalSubtreeSorter {
 
   std::string pending_;               // partial unit bytes across Appends
   std::vector<size_t> path_ends_;     // key-path prefix length per ancestor
-  std::vector<std::string> open_names_;  // tags of open ancestors
+  std::vector<bool> sorts_children_;  // per open ancestor: list reordered
   std::string path_;
   uint32_t root_level_ = 0;
   bool have_root_ = false;

@@ -46,7 +46,7 @@ Status UnitXmlEmitter::CloseTo(uint32_t level) {
   return Status::OK();
 }
 
-Status UnitXmlEmitter::Emit(const ElementUnit& unit) {
+Status UnitXmlEmitter::Emit(const UnitView& unit) {
   switch (unit.type) {
     case UnitType::kStart: {
       RETURN_IF_ERROR(CloseTo(unit.level));
@@ -61,13 +61,14 @@ Status UnitXmlEmitter::Emit(const ElementUnit& unit) {
       if (options_.pretty) Indent(unit.level);
       buffer_.push_back('<');
       buffer_.append(unit.name);
-      for (const XmlAttribute& attr : unit.attributes) {
+      ForEachAttribute(unit, [this](std::string_view name,
+                                    std::string_view value) {
         buffer_.push_back(' ');
-        buffer_.append(attr.name);
+        buffer_.append(name);
         buffer_.append("=\"");
-        AppendEscapedAttribute(&buffer_, attr.value);
+        AppendEscapedAttribute(&buffer_, value);
         buffer_.push_back('"');
-      }
+      });
       buffer_.push_back('>');
       wrote_anything_ = true;
       OpenTag tag;

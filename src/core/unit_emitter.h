@@ -32,9 +32,10 @@ class UnitXmlEmitter {
 
   const Status& init_status() const { return tags_.init_status(); }
 
-  /// Emit one unit (kStart or kText; kEnd units are ignored since levels
-  /// already carry the structure). Units must arrive in depth-first order.
-  [[nodiscard]] Status Emit(const ElementUnit& unit);
+  /// Emit one decoded unit (kStart or kText; kEnd units are ignored since
+  /// levels already carry the structure). Units must arrive in depth-first
+  /// order.
+  [[nodiscard]] Status Emit(const UnitView& unit);
 
   /// Close all open elements and flush. Must be called exactly once.
   [[nodiscard]] Status Finish();

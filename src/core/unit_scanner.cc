@@ -78,15 +78,15 @@ void UnitScanner::FeedEnd(int depth) {
 }
 
 StatusOr<bool> UnitScanner::Next(ScanEvent* event) {
-  XmlEvent xml;
+  // xml_ and event->unit are reused across calls. Parsed strings are
+  // swapped into the unit, handing the parser the previous unit's storage
+  // to refill.
+  XmlEvent& xml = xml_;
   ASSIGN_OR_RETURN(bool more, parser_.Next(&xml));
   if (!more) return false;
 
   ElementUnit& unit = event->unit;
   unit.key.clear();
-  unit.name.clear();
-  unit.attributes.clear();
-  unit.text.clear();
   unit.run = RunHandle();
   event->children = 0;
   ++stats_.units;
@@ -107,8 +107,9 @@ StatusOr<bool> UnitScanner::Next(ScanEvent* event) {
       unit.level = depth;
       unit.seq = next_seq_++;
       unit.key = spec_->KeyForStartTag(xml.name, xml.attributes);
-      unit.name = std::move(xml.name);
-      unit.attributes = std::move(xml.attributes);
+      unit.name.swap(xml.name);
+      unit.attributes.swap(xml.attributes);
+      unit.text.clear();
 
       open_.push_back({unit.seq, 0});
       const OrderRule* rule = spec_->RuleFor(unit.name);
@@ -136,12 +137,17 @@ StatusOr<bool> UnitScanner::Next(ScanEvent* event) {
       unit.seq = next_seq_++;
       unit.key = spec_->KeyForText(xml.text);
       FeedText(xml.text, depth);
-      unit.text = std::move(xml.text);
+      unit.name.clear();
+      unit.attributes.clear();
+      unit.text.swap(xml.text);
       return true;
     }
     case XmlEventType::kEndElement: {
       int depth = parser_.depth() + 1;  // depth of the element that closed
       event->kind = ScanEvent::Kind::kEnd;
+      unit.name.clear();
+      unit.attributes.clear();
+      unit.text.clear();
       unit.type = UnitType::kEnd;
       unit.level = depth;
       unit.seq = open_.back().seq;

@@ -81,6 +81,7 @@ class UnitScanner {
   void FeedEnd(int depth);
 
   SaxParser parser_;
+  XmlEvent xml_;  // reused parse event
   const OrderSpec* spec_;
   uint64_t next_seq_ = 0;
   ScanStats stats_;

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -22,6 +23,21 @@ std::vector<std::string_view> Split(std::string_view input, char sep) {
 
 bool ParseNumber(std::string_view s, double* value) {
   if (s.empty()) return false;
+  // Fast path: a plain decimal integer of at most 15 digits, which a double
+  // holds exactly — the value strtod returns for it too.
+  size_t digits_from = s[0] == '-' ? 1 : 0;
+  if (s.size() > digits_from && s.size() - digits_from <= 15) {
+    uint64_t integer = 0;
+    size_t i = digits_from;
+    for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i) {
+      integer = integer * 10 + static_cast<uint64_t>(s[i] - '0');
+    }
+    if (i == s.size()) {
+      double magnitude = static_cast<double>(integer);
+      *value = digits_from == 1 ? -magnitude : magnitude;
+      return true;
+    }
+  }
   std::string buf(s);
   char* end = nullptr;
   double v = std::strtod(buf.c_str(), &end);

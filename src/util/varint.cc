@@ -23,18 +23,10 @@ void PutLengthPrefixed(std::string* dst, std::string_view value) {
 }
 
 Status GetVarint64(std::string_view* input, uint64_t* value) {
-  uint64_t result = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (input->empty()) return Status::Corruption("truncated varint");
-    unsigned char byte = static_cast<unsigned char>(input->front());
-    input->remove_prefix(1);
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("varint too long");
+  if (TryGetVarint64(input, value)) return Status::OK();
+  // Ten bytes all carrying the continuation bit: overlong, not truncated.
+  return Status::Corruption(input->size() >= 10 ? "varint too long"
+                                                : "truncated varint");
 }
 
 Status GetVarint32(std::string_view* input, uint32_t* value) {

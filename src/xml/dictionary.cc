@@ -3,7 +3,7 @@
 namespace nexsort {
 
 uint32_t NameDictionary::Intern(std::string_view name) {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(names_.size());
   names_.emplace_back(name);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -20,11 +21,17 @@ namespace nexsort {
 /// typical document has.
 class NameDictionary {
  public:
-  /// Id for `name`, interning it if new.
+  /// Id for `name`, interning it if new. Lookups of known names allocate
+  /// nothing.
   uint32_t Intern(std::string_view name);
 
   /// Name for `id`; Corruption if out of range.
   [[nodiscard]] StatusOr<std::string_view> Lookup(uint32_t id) const;
+
+  /// Name for `id`, or nullptr if out of range: Lookup for hot decoders.
+  const std::string* Find(uint32_t id) const {
+    return id < names_.size() ? &names_[id] : nullptr;
+  }
 
   size_t size() const { return names_.size(); }
 
@@ -32,7 +39,16 @@ class NameDictionary {
   size_t MemoryBytes() const;
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
+  // Transparent hash so Intern probes with the caller's string_view.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>>
+      index_;
   std::vector<std::string> names_;
 };
 

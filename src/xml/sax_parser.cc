@@ -1,6 +1,8 @@
 #include "xml/sax_parser.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "xml/escape.h"
 
@@ -9,16 +11,34 @@ namespace nexsort {
 namespace {
 constexpr size_t kChunkSize = 16 * 1024;
 
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
+// Byte classes of the scanner, looked up through one table so runs of
+// name or whitespace bytes are consumed without per-byte predicate calls.
+constexpr uint8_t kNameStartClass = 1;  // [A-Za-z_:]
+constexpr uint8_t kNameClass = 2;       // [A-Za-z0-9_:.-]
+constexpr uint8_t kSpaceClass = 4;      // [ \t\n\r]
+
+constexpr std::array<uint8_t, 256> MakeCharClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (int c = 0; c < 256; ++c) {
+    bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    bool digit = c >= '0' && c <= '9';
+    bool name_start = alpha || c == '_' || c == ':';
+    bool name = name_start || digit || c == '-' || c == '.';
+    bool space = c == ' ' || c == '\t' || c == '\n' || c == '\r';
+    classes[c] = static_cast<uint8_t>((name_start ? kNameStartClass : 0) |
+                                      (name ? kNameClass : 0) |
+                                      (space ? kSpaceClass : 0));
+  }
+  return classes;
 }
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
-         c == '-' || c == '.';
+constexpr std::array<uint8_t, 256> kCharClasses = MakeCharClasses();
+
+bool HasClass(char c, uint8_t mask) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & mask) != 0;
 }
-bool IsSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
+bool IsNameStartChar(char c) { return HasClass(c, kNameStartClass); }
+bool IsNameChar(char c) { return HasClass(c, kNameClass); }
+bool IsSpace(char c) { return HasClass(c, kSpaceClass); }
 }  // namespace
 
 SaxParser::SaxParser(ByteSource* source, SaxOptions options)
@@ -62,12 +82,23 @@ StatusOr<size_t> SaxParser::FindInBuffer(std::string_view needle) {
   }
 }
 
-Status SaxParser::SkipWhitespace() {
+StatusOr<size_t> SaxParser::RunLength(uint8_t mask, size_t from) {
+  size_t len = from;
   while (true) {
-    RETURN_IF_ERROR(Ensure(1));
-    if (AtEof() || !IsSpace(PeekChar())) return Status::OK();
-    Advance(1);
+    const char* data = buffer_.data() + pos_;
+    size_t available = Available();
+    while (len < available && HasClass(data[len], mask)) ++len;
+    // Refill only when the run reaches the end of the buffered window.
+    if (len < available || source_eof_) return len;
+    RETURN_IF_ERROR(Fill());
   }
+}
+
+Status SaxParser::SkipWhitespace() {
+  if (Available() > 0 && !IsSpace(PeekChar())) return Status::OK();
+  ASSIGN_OR_RETURN(size_t len, RunLength(kSpaceClass, 0));
+  Advance(len);
+  return Status::OK();
 }
 
 StatusOr<bool> SaxParser::Next(XmlEvent* event) {
@@ -140,20 +171,21 @@ Status SaxParser::ParseMarkup(XmlEvent* event, bool* produced) {
 }
 
 Status SaxParser::ParseName(std::string* name) {
-  name->clear();
   RETURN_IF_ERROR(Ensure(1));
   if (AtEof() || !IsNameStartChar(PeekChar())) {
     return Status::ParseError("expected name");
   }
-  while (true) {
-    RETURN_IF_ERROR(Ensure(1));
-    if (AtEof() || !IsNameChar(PeekChar())) return Status::OK();
-    name->push_back(PeekChar());
-    Advance(1);
-  }
+  ASSIGN_OR_RETURN(size_t len, RunLength(kNameClass, 1));
+  name->assign(buffer_.data() + pos_, len);
+  Advance(len);
+  return Status::OK();
 }
 
 Status SaxParser::ParseAttributes(XmlEvent* event, bool* self_closing) {
+  // Attribute slots of the previous event are reused, so their strings
+  // keep their capacity; the vector is trimmed to this tag's count.
+  std::vector<XmlAttribute>& attributes = event->attributes;
+  size_t count = 0;
   *self_closing = false;
   while (true) {
     RETURN_IF_ERROR(SkipWhitespace());
@@ -162,7 +194,7 @@ Status SaxParser::ParseAttributes(XmlEvent* event, bool* self_closing) {
     char c = PeekChar();
     if (c == '>') {
       Advance(1);
-      return Status::OK();
+      break;
     }
     if (c == '/') {
       if (Available() < 2 || buffer_[pos_ + 1] != '>') {
@@ -170,9 +202,10 @@ Status SaxParser::ParseAttributes(XmlEvent* event, bool* self_closing) {
       }
       Advance(2);
       *self_closing = true;
-      return Status::OK();
+      break;
     }
-    XmlAttribute attr;
+    if (count == attributes.size()) attributes.emplace_back();
+    XmlAttribute& attr = attributes[count++];
     RETURN_IF_ERROR(ParseName(&attr.name));
     RETURN_IF_ERROR(SkipWhitespace());
     RETURN_IF_ERROR(Ensure(1));
@@ -193,16 +226,17 @@ Status SaxParser::ParseAttributes(XmlEvent* event, bool* self_closing) {
     }
     size_t offset = found.value();
     std::string_view raw(buffer_.data() + pos_, offset);
+    attr.value.clear();
     RETURN_IF_ERROR(AppendUnescaped(&attr.value, raw, &entities_));
     Advance(offset + 1);
-    event->attributes.push_back(std::move(attr));
   }
+  attributes.resize(count);
+  return Status::OK();
 }
 
 Status SaxParser::ParseStartTag(XmlEvent* event) {
   Advance(1);  // '<'
   event->type = XmlEventType::kStartElement;
-  event->attributes.clear();
   event->text.clear();
   RETURN_IF_ERROR(ParseName(&event->name));
   bool self_closing = false;
@@ -318,17 +352,24 @@ Status SaxParser::ParseCdata(XmlEvent* event) {
 }
 
 Status SaxParser::ParseText(XmlEvent* event, bool* produced) {
-  std::string raw;
-  bool all_space = true;
+  // The text runs to the next '<' (or end of input); search the buffered
+  // window for it and refill only when the window holds none.
+  size_t len = 0;
   while (true) {
-    RETURN_IF_ERROR(Ensure(1));
-    if (AtEof() || PeekChar() == '<') break;
-    char c = PeekChar();
-    raw.push_back(c);
-    if (!IsSpace(c)) all_space = false;
-    Advance(1);
+    const char* data = buffer_.data() + pos_;
+    const void* lt = std::memchr(data + len, '<', Available() - len);
+    if (lt != nullptr) {
+      len = static_cast<size_t>(static_cast<const char*>(lt) - data);
+      break;
+    }
+    len = Available();
+    if (source_eof_) break;
+    RETURN_IF_ERROR(Fill());
   }
-  if (all_space && options_.skip_whitespace_text) {
+  std::string_view raw(buffer_.data() + pos_, len);
+  if (options_.skip_whitespace_text &&
+      std::all_of(raw.begin(), raw.end(), IsSpace)) {
+    Advance(len);
     *produced = false;
     return Status::OK();
   }
@@ -337,6 +378,7 @@ Status SaxParser::ParseText(XmlEvent* event, bool* produced) {
   event->attributes.clear();
   event->text.clear();
   RETURN_IF_ERROR(AppendUnescaped(&event->text, raw, &entities_));
+  Advance(len);
   *produced = true;
   return Status::OK();
 }

@@ -11,6 +11,7 @@
 // XML) use.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +59,9 @@ class SaxParser {
   // Find `needle` in the buffered data starting at pos_, filling as needed;
   // returns its offset relative to pos_ or NotFound at EOF.
   [[nodiscard]] StatusOr<size_t> FindInBuffer(std::string_view needle);
+  // Length of the run of bytes in character class `mask` (see
+  // sax_parser.cc) starting `from` bytes past pos_, filling as needed.
+  [[nodiscard]] StatusOr<size_t> RunLength(uint8_t mask, size_t from);
 
   // Grammar productions -------------------------------------------------
   [[nodiscard]] Status SkipWhitespace();

@@ -2,8 +2,12 @@
 // corruption detection, and the streaming run reader with resume offsets.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/element_unit.h"
 #include "tests/test_util.h"
+#include "util/varint.h"
 
 namespace nexsort {
 namespace testing {
@@ -160,6 +164,206 @@ TEST(ElementUnit, ParseRejectsTruncation) {
   }
 }
 
+// One unit of every type, serialized back to back in `format`.
+std::vector<ElementUnit> EveryUnitType() {
+  std::vector<ElementUnit> units;
+  units.push_back(MakeStart(3, 77));
+  ElementUnit bare = MakeStart(1, 0);
+  bare.attributes.clear();
+  bare.key.clear();
+  units.push_back(bare);
+  ElementUnit text;
+  text.type = UnitType::kText;
+  text.level = 4;
+  text.seq = 78;
+  text.text = "caf\xC3\xA9 & <more>";
+  units.push_back(text);
+  ElementUnit end;
+  end.type = UnitType::kEnd;
+  end.level = 3;
+  end.seq = 77;
+  end.key = std::string(200, 'k');
+  units.push_back(end);
+  ElementUnit pointer;
+  pointer.type = UnitType::kPointer;
+  pointer.level = 2;
+  pointer.seq = 1ull << 40;
+  pointer.key = "ptr";
+  pointer.run = {12345, 987654321};
+  units.push_back(pointer);
+  ElementUnit fragment;
+  fragment.type = UnitType::kFragment;
+  fragment.level = 2;
+  fragment.run = {7, 4096};
+  units.push_back(fragment);
+  return units;
+}
+
+// Decode `bytes` with both decoders; they must agree on acceptance, on
+// the status code, and on how much they consume.
+void ExpectDecodersAgree(std::string_view bytes, const UnitFormat& format,
+                         const NameDictionary* dictionary) {
+  std::string_view parse_input = bytes;
+  std::string_view view_input = bytes;
+  ElementUnit unit;
+  UnitView view;
+  Status parsed = ParseUnit(&parse_input, &unit, format, dictionary);
+  Status decoded = DecodeUnitView(&view_input, &view, format, dictionary);
+  ASSERT_EQ(parsed.ok(), decoded.ok()) << parsed.ToString();
+  EXPECT_EQ(parsed.code(), decoded.code());
+  if (decoded.ok()) {
+    EXPECT_EQ(parse_input.size(), view_input.size());
+    EXPECT_EQ(view.bytes.size(), bytes.size() - view_input.size());
+  } else {
+    EXPECT_TRUE(decoded.IsCorruption()) << decoded.ToString();
+  }
+}
+
+TEST_P(ElementUnitFormatTest, UnitViewMatchesParseUnit) {
+  NameDictionary dictionary;
+  for (const ElementUnit& unit : EveryUnitType()) {
+    std::string buf;
+    AppendUnit(&buf, unit, Format(), &dictionary);
+    buf += "trailing";
+    std::string_view input = buf;
+    UnitView view;
+    NEX_ASSERT_OK(DecodeUnitView(&input, &view, Format(), &dictionary));
+    EXPECT_EQ(input, "trailing");
+    EXPECT_EQ(view.bytes, std::string_view(buf).substr(0, buf.size() - 8));
+    EXPECT_EQ(view.type, unit.type);
+    EXPECT_EQ(view.level, unit.level);
+    EXPECT_EQ(view.seq, unit.seq);
+    EXPECT_EQ(view.key, unit.key);
+    EXPECT_EQ(view.name, unit.name);
+    EXPECT_EQ(view.text, unit.text);
+    EXPECT_EQ(view.run.id, unit.run.id);
+    EXPECT_EQ(view.run.byte_size, unit.run.byte_size);
+    std::vector<XmlAttribute> attributes;
+    ForEachAttribute(view, [&](std::string_view name, std::string_view value) {
+      attributes.push_back({std::string(name), std::string(value)});
+    });
+    EXPECT_EQ(attributes, unit.attributes);
+  }
+}
+
+TEST_P(ElementUnitFormatTest, UnitViewRejectsWhatParseUnitRejects) {
+  NameDictionary dictionary;
+  for (const ElementUnit& unit : EveryUnitType()) {
+    std::string buf;
+    AppendUnit(&buf, unit, Format(), &dictionary);
+    for (size_t cut = 0; cut < buf.size(); ++cut) {
+      SCOPED_TRACE("type " + std::to_string(static_cast<int>(unit.type)) +
+                   " cut at " + std::to_string(cut));
+      std::string truncated = buf.substr(0, cut);
+      ExpectDecodersAgree(truncated, Format(), &dictionary);
+      std::string_view input = truncated;
+      UnitView view;
+      EXPECT_TRUE(DecodeUnitView(&input, &view, Format(), &dictionary)
+                      .IsCorruption());
+    }
+    for (char type : {'\x00', '\x06', '\x80', '\xFF'}) {
+      std::string bad = buf;
+      bad[0] = type;
+      ExpectDecodersAgree(bad, Format(), &dictionary);
+    }
+    // Every single-byte corruption: same verdict from both decoders.
+    for (size_t at = 0; at < buf.size(); ++at) {
+      for (unsigned char flip : {0x01, 0x80, 0xFF}) {
+        std::string bad = buf;
+        bad[at] = static_cast<char>(bad[at] ^ flip);
+        SCOPED_TRACE("flip at " + std::to_string(at));
+        ExpectDecodersAgree(bad, Format(), &dictionary);
+      }
+    }
+    // Dictionary ids the reader's dictionary does not know.
+    NameDictionary fresh;
+    ExpectDecodersAgree(buf, Format(), &fresh);
+  }
+}
+
+TEST_P(ElementUnitFormatTest, UnitViewRejectsOutOfRangeIds) {
+  NameDictionary dictionary;
+  dictionary.Intern("a");
+  // kStart, level 1, seq 0, tag, one attribute (name, value), empty key.
+  auto start = [&](uint32_t tag, uint32_t attr) {
+    std::string buf(1, static_cast<char>(UnitType::kStart));
+    PutVarint32(&buf, 1);
+    PutVarint64(&buf, 0);
+    if (Format().use_dictionary) {
+      PutVarint32(&buf, tag);
+    } else {
+      PutLengthPrefixed(&buf, "a");
+    }
+    PutVarint64(&buf, 1);
+    if (Format().use_dictionary) {
+      PutVarint32(&buf, attr);
+    } else {
+      PutLengthPrefixed(&buf, "a");
+    }
+    PutLengthPrefixed(&buf, "v");
+    PutLengthPrefixed(&buf, "");
+    return buf;
+  };
+  for (auto [tag, attr] : {std::pair<uint32_t, uint32_t>{0, 0},
+                           {1, 0},
+                           {0, 1},
+                           {300, 0},
+                           {0, 70000}}) {
+    std::string buf = start(tag, attr);
+    ExpectDecodersAgree(buf, Format(), &dictionary);
+    std::string_view input = buf;
+    UnitView view;
+    bool in_range = !Format().use_dictionary || (tag == 0 && attr == 0);
+    EXPECT_EQ(DecodeUnitView(&input, &view, Format(), &dictionary).ok(),
+              in_range)
+        << tag << "/" << attr;
+  }
+}
+
+TEST_P(ElementUnitFormatTest, UnitViewRejectsImplausibleAttributeCount) {
+  NameDictionary dictionary;
+  std::string buf(1, static_cast<char>(UnitType::kStart));
+  PutVarint32(&buf, 1);
+  PutVarint64(&buf, 0);
+  if (Format().use_dictionary) {
+    PutVarint32(&buf, dictionary.Intern("a"));
+  } else {
+    PutLengthPrefixed(&buf, "a");
+  }
+  PutVarint64(&buf, 1000);  // far more attributes than bytes follow
+  PutLengthPrefixed(&buf, "key");
+  ExpectDecodersAgree(buf, Format(), &dictionary);
+  std::string_view input = buf;
+  UnitView view;
+  Status st = DecodeUnitView(&input, &view, Format(), &dictionary);
+  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_EQ(st.message(), "implausible attribute count");
+}
+
+TEST_P(ElementUnitFormatTest, SpliceStartKeyEqualsReencoding) {
+  // Keys whose length prefix changes varint width in both directions.
+  const std::vector<size_t> lengths = {0, 1, 127, 128, 200, 20000};
+  NameDictionary dictionary;
+  for (size_t from : lengths) {
+    for (size_t to : lengths) {
+      ElementUnit unit = MakeStart(2, 300);
+      unit.key = std::string(from, 'a');
+      std::string buf;
+      AppendUnit(&buf, unit, Format(), &dictionary);
+      std::string_view input = buf;
+      UnitView view;
+      NEX_ASSERT_OK(DecodeUnitView(&input, &view, Format(), &dictionary));
+      std::string spliced;
+      SpliceStartKey(&spliced, view.bytes, view.key_offset,
+                     std::string(to, 'b'));
+      unit.key = std::string(to, 'b');
+      std::string expected;
+      AppendUnit(&expected, unit, Format(), &dictionary);
+      EXPECT_EQ(spliced, expected) << from << " -> " << to;
+    }
+  }
+}
+
 TEST(NameDictionary, InternIsIdempotent) {
   NameDictionary dictionary;
   uint32_t a = dictionary.Intern("region");
@@ -195,7 +399,7 @@ TEST(RunUnitReader, StreamsUnitsAndTracksOffsets) {
 
   RunUnitReader reader(&store, handle, 0, format, &dictionary);
   NEX_ASSERT_OK(reader.init_status());
-  ElementUnit unit;
+  UnitView unit;
   for (int i = 0; i < 100; ++i) {
     auto more = reader.Next(&unit);
     ASSERT_TRUE(more.ok()) << more.status().ToString();
@@ -230,7 +434,7 @@ TEST(RunUnitReader, ResumesAtSavedOffset) {
   {
     RunUnitReader reader(&store, handle, 0, format, &dictionary);
     NEX_ASSERT_OK(reader.init_status());
-    ElementUnit unit;
+    UnitView unit;
     for (int i = 0; i < 7; ++i) {
       auto more = reader.Next(&unit);
       ASSERT_TRUE(more.ok() && *more);
@@ -239,7 +443,7 @@ TEST(RunUnitReader, ResumesAtSavedOffset) {
   }
   RunUnitReader reader(&store, handle, resume, format, &dictionary);
   NEX_ASSERT_OK(reader.init_status());
-  ElementUnit unit;
+  UnitView unit;
   auto more = reader.Next(&unit);
   ASSERT_TRUE(more.ok() && *more);
   EXPECT_EQ(unit.seq, 7u);

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "xml/dom.h"
 #include "xml/generator.h"
 
@@ -16,14 +17,31 @@ namespace testing {
 namespace {
 
 struct SweepParam {
+  SweepParam(int height, uint64_t max_fanout, size_t block_size,
+             uint64_t memory_blocks, uint64_t threshold, bool graceful,
+             uint64_t seed)
+      : height(height),
+        max_fanout(max_fanout),
+        block_size(block_size),
+        memory_blocks(memory_blocks),
+        threshold(threshold),
+        graceful(graceful),
+        seed(seed) {}
+
   int height;
+  // gtest names each case after the raw bytes of its parameter; spelling
+  // the padding out as zeroed members keeps those names the same from run
+  // to run instead of leaking whatever memory held before.
+  uint32_t padding0 = 0;
   uint64_t max_fanout;
   size_t block_size;
   uint64_t memory_blocks;
   uint64_t threshold;  // 0 = default 2B
   bool graceful;
+  uint8_t padding1[7] = {};
   uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 56, "SweepParam must have no padding");
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   const SweepParam& p = info.param;
@@ -177,6 +195,100 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{7, 2, 256, 4, 0, false, 5},
         SweepParam{5, 5, 256, 16, 0, false, 7}),
     ParamName);
+
+// In-memory subtree sorts order unit views and copy unit bytes verbatim;
+// each axis here changes which bytes are copied or spliced.
+struct InMemorySortParam {
+  const char* name;
+  bool use_dictionary;
+  bool scoped;    // sort only children of n2/n4 (XSort-style scope)
+  bool graceful;  // incomplete runs (fragments) merged at the subtree sort
+};
+
+// Test names carry the printed parameter; print the case name rather than
+// the raw bytes, which hold a pointer and padding that differ run to run.
+void PrintTo(const InMemorySortParam& p, std::ostream* os) { *os << p.name; }
+
+class InMemorySubtreeSort
+    : public ::testing::TestWithParam<InMemorySortParam> {};
+
+TEST_P(InMemorySubtreeSort, MatchesDomOracle) {
+  const InMemorySortParam& p = GetParam();
+  std::vector<std::string> scope = {"n2", "n4"};
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    RandomTreeGenerator generator(
+        5, 6, {.seed = seed, .element_bytes = 60, .key_space = 40});
+    auto xml = generator.GenerateString();
+    ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+    NexSortOptions options;
+    options.order = OrderSpec::ByAttribute("id", /*numeric=*/true);
+    options.use_dictionary = p.use_dictionary;
+    options.graceful_degeneration = p.graceful;
+    if (p.scoped) options.sort_scope_tags = scope;
+    NexSortStats stats;
+    // Graceful degeneration needs a budget the document overflows.
+    std::string sorted = NexSortString(*xml, options, 256,
+                                       p.graceful ? 8 : 64, &stats);
+    auto oracle = SortXmlStringInMemory(*xml, options.order, 0,
+                                        p.scoped ? &scope : nullptr);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(sorted, *oracle) << "seed " << seed;
+    EXPECT_GT(stats.sorts.internal_sorts, 0u);
+    if (p.graceful) {
+      EXPECT_GT(stats.fragment_runs, 0u) << "seed " << seed;
+    } else {
+      EXPECT_EQ(stats.sorts.external_sorts, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Axes, InMemorySubtreeSort,
+    ::testing::Values(InMemorySortParam{"Dictionary", true, false, false},
+                      InMemorySortParam{"Verbatim", false, false, false},
+                      InMemorySortParam{"ScopedDictionary", true, true, false},
+                      InMemorySortParam{"ScopedVerbatim", false, true, false},
+                      InMemorySortParam{"Fragments", true, false, true},
+                      InMemorySortParam{"FragmentsVerbatim", false, false,
+                                        true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// Complex criteria deliver keys on end units; the subtree sort splices each
+// donated key into its start unit, whose own key is empty. Keys of 0..200
+// bytes move the length prefix across the one/two-byte varint boundary.
+TEST(InMemorySubtreeSortDonatedKeys, SpliceMatchesDomOracle) {
+  nexsort::Random rng(5);
+  const std::vector<size_t> key_lengths = {0, 1, 5, 127, 128, 200};
+  for (bool use_dictionary : {true, false}) {
+    std::string xml = "<all>";
+    for (int i = 0; i < 150; ++i) {
+      size_t len = key_lengths[rng.Uniform(key_lengths.size())];
+      std::string key = len == 0 ? "" : rng.Identifier(len);
+      xml += "<rec n=\"" + std::to_string(i) + "\"><meta><k>" + key +
+             "</k></meta><v>" + rng.Identifier(6) + "</v>";
+      if (i % 10 == 0) {  // nested records keyed the same way
+        for (int j = 0; j < 3; ++j) {
+          xml += "<rec><meta><k>" + rng.Identifier(200) + "</k></meta></rec>";
+        }
+      }
+      xml += "</rec>";
+    }
+    xml += "</all>";
+    NexSortOptions options;
+    OrderRule rule;
+    rule.element = "rec";
+    rule.source = KeySource::kChildText;
+    rule.argument = "meta/k";
+    options.order.AddRule(rule);
+    options.use_dictionary = use_dictionary;
+    NexSortStats stats;
+    std::string sorted = NexSortString(xml, options, 1024, 64, &stats);
+    EXPECT_EQ(sorted, OracleSort(xml, options.order))
+        << "dictionary " << use_dictionary;
+    EXPECT_GT(stats.sorts.internal_sorts, 0u);
+    EXPECT_EQ(stats.sorts.external_sorts, 0u);
+  }
+}
 
 // NEXSORT and the baseline must agree with each other bit-for-bit too.
 TEST(CrossAlgorithm, NexSortEqualsKeyPathBaseline) {

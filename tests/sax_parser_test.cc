@@ -2,6 +2,10 @@
 // and streaming across block boundaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
+
 #include "extmem/stream.h"
 #include "tests/test_util.h"
 #include "xml/sax_parser.h"
@@ -10,10 +14,9 @@ namespace nexsort {
 namespace testing {
 namespace {
 
-// Drain a document into a flat event trace like "S:a A:id=1 T:hi E:a".
-std::string Trace(std::string_view xml, SaxOptions options = {}) {
-  StringByteSource source(xml);
-  SaxParser parser(&source, options);
+// Drain a source into a flat event trace like "S:a A:id=1 T:hi E:a".
+std::string TraceSource(ByteSource* source, SaxOptions options = {}) {
+  SaxParser parser(source, options);
   std::string out;
   XmlEvent event;
   while (true) {
@@ -37,6 +40,11 @@ std::string Trace(std::string_view xml, SaxOptions options = {}) {
     out += "|";
   }
   return out;
+}
+
+std::string Trace(std::string_view xml, SaxOptions options = {}) {
+  StringByteSource source(xml);
+  return TraceSource(&source, options);
 }
 
 TEST(SaxParser, SimpleDocument) {
@@ -208,6 +216,133 @@ TEST(SaxParser, StreamsAcrossBlockBoundaries) {
   }
   EXPECT_EQ(items, 50);
   EXPECT_EQ(parser.bytes_consumed(), xml.size());
+}
+
+// Hands out 1-7 bytes per Read (seeded), so every production straddles
+// many parser refills.
+class TrickleByteSource final : public ByteSource {
+ public:
+  TrickleByteSource(std::string_view data, uint64_t seed)
+      : data_(data), rng_(seed) {}
+
+  Status Read(char* buf, size_t n, size_t* out) override {
+    size_t want = std::min<size_t>({n, 1 + rng_() % 7, data_.size() - pos_});
+    std::memcpy(buf, data_.data() + pos_, want);
+    pos_ += want;
+    *out = want;
+    return Status::OK();
+  }
+
+ private:
+  std::string_view data_;
+  size_t pos_ = 0;
+  std::mt19937_64 rng_;
+};
+
+// A seeded document using every construct the parser supports, with tag
+// names, attribute values and text longer than one 16 KiB refill chunk.
+std::string RefillTortureDocument(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::vector<std::string> pieces = {
+      "plain", "&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "&co;", "&e;",
+      "&#65;", "&#x42;", "&#x20AC;", "&#233;", "h\xC3\xA9llo",
+      "\xE2\x82\xAC", "\xF0\x9F\x98\x80", " ", "'", "]]", "x-y.z"};
+  auto value = [&](size_t max_pieces) {
+    std::string out;
+    for (size_t i = rng() % max_pieces; i > 0; --i) {
+      out += pieces[rng() % pieces.size()];
+    }
+    return out;
+  };
+  std::string xml =
+      "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+      "<!DOCTYPE root [ <!ENTITY co \"ACME &amp; Sons\"> "
+      "<!ENTITY e \"&#233;t&#xE9;\"> ]>\n<root>";
+  for (int i = 0; i < 300; ++i) {
+    std::string name = "item" + std::string(rng() % 20, 'x') + "-" +
+                       std::to_string(i % 7);
+    xml += "\n  <" + name;
+    for (uint64_t a = rng() % 4; a > 0; --a) {
+      xml += " a" + std::to_string(a) + (rng() % 2 ? " = " : "=") + "\"" +
+             value(6) + "\"";
+    }
+    if (rng() % 5 == 0) {
+      xml += rng() % 2 ? "/>" : " />";
+      continue;
+    }
+    xml += ">";
+    switch (rng() % 5) {
+      case 0: xml += "<![CDATA[<raw> & a]b]]c " + value(4) + "]]>"; break;
+      case 1: xml += "<!-- note -- - -->" + value(5); break;
+      case 2: xml += "<?pi some data?>" + value(5); break;
+      default: xml += value(8);
+    }
+    xml += "</" + name + " >";
+  }
+  std::string long_name = "long" + std::string(20000, 'n');
+  xml += "<" + long_name + " v='" + std::string(20000, 'v') + "&amp;'>" +
+         std::string(20000, 't') + "&lt;" + std::string(17000, ' ') +
+         "</" + long_name + ">\n</root>\n";
+  return xml;
+}
+
+TEST(SaxParser, TrickleSourceMatchesWholeBufferParse) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    std::string xml = RefillTortureDocument(seed);
+    for (bool skip_whitespace : {true, false}) {
+      SaxOptions options;
+      options.skip_whitespace_text = skip_whitespace;
+      std::string whole = Trace(xml, options);
+      ASSERT_EQ(whole.find("ERROR"), std::string::npos) << whole;
+      ASSERT_NE(whole.find("A:v=" + std::string(20000, 'v') + "&"),
+                std::string::npos);
+      for (uint64_t trickle_seed : {7u, 8u}) {
+        TrickleByteSource trickle(xml, trickle_seed);
+        EXPECT_EQ(TraceSource(&trickle, options), whole)
+            << "document seed " << seed << ", trickle seed " << trickle_seed;
+      }
+    }
+  }
+}
+
+TEST(SaxParser, TrickleSourceKeepsEveryParseError) {
+  const std::vector<std::string> malformed = {
+      "",
+      "   ",
+      "hello<a/>",
+      "<a><b></a></b>",
+      "<a><b>",
+      "<a>text",
+      "<a/><b/>",
+      "<a>&bogus;</a>",
+      "<a>&amp</a>",
+      "<a>&#xZZ;</a>",
+      "<a>&#;</a>",
+      "<a x=\"&nope;\"/>",
+      "<a x=\"1></a>",
+      "<a x=1></a>",
+      "<a x></a>",
+      "<a x=\"1\"",
+      "<a/ >",
+      "<1a/>",
+      "<a></ a>",
+      "<a></a",
+      "<a><!-- open</a>",
+      "<a><![CDATA[open</a>",
+      "<a><?pi open",
+      "<!DOCTYPE a [ <!ENTITY e \"open ]><a/>",
+      "<a></a>trailing",
+      "<a><!",
+      "<" + std::string(20000, 'n'),
+      "<a v=\"" + std::string(20000, 'v'),
+  };
+  for (const std::string& xml : malformed) {
+    std::string whole = Trace(xml);
+    EXPECT_EQ(whole.rfind("ERROR:ParseError", 0), 0u)
+        << xml.substr(0, 40) << " -> " << whole;
+    TrickleByteSource trickle(xml, 5);
+    EXPECT_EQ(TraceSource(&trickle), whole) << xml.substr(0, 40);
+  }
 }
 
 }  // namespace

@@ -28,6 +28,18 @@ ElementUnit Text(uint32_t level, std::string_view text) {
   return unit;
 }
 
+// Serialize `unit` and hand the emitter its decoded view, as a run reader
+// would.
+Status EmitUnit(UnitXmlEmitter* emitter, const ElementUnit& unit,
+                NameDictionary* dictionary) {
+  std::string serialized;
+  AppendUnit(&serialized, unit, UnitFormat(), dictionary);
+  std::string_view input = serialized;
+  UnitView view;
+  RETURN_IF_ERROR(DecodeUnitView(&input, &view, UnitFormat(), dictionary));
+  return emitter->Emit(view);
+}
+
 std::string Emit(const std::vector<ElementUnit>& units,
                  size_t block_size = 1024) {
   Env env(block_size, 8);
@@ -37,7 +49,7 @@ std::string Emit(const std::vector<ElementUnit>& units,
   UnitXmlEmitter emitter(env.device(), env.budget(), &dictionary, &sink);
   EXPECT_TRUE(emitter.init_status().ok());
   for (const ElementUnit& unit : units) {
-    Status st = emitter.Emit(unit);
+    Status st = EmitUnit(&emitter, unit, &dictionary);
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   EXPECT_TRUE(emitter.Finish().ok());
@@ -95,7 +107,7 @@ TEST(UnitEmitter, RejectsPointerUnits) {
   ElementUnit pointer;
   pointer.type = UnitType::kPointer;
   pointer.level = 1;
-  EXPECT_TRUE(emitter.Emit(pointer).IsInvalidArgument());
+  EXPECT_TRUE(EmitUnit(&emitter, pointer, &dictionary).IsInvalidArgument());
 }
 
 TEST(UnitEmitter, EndUnitsAreIgnored) {

@@ -2,6 +2,8 @@
 // deterministic RNG, and string helpers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "util/random.h"
@@ -178,6 +180,27 @@ TEST(StringUtil, ParseNumberAcceptsAndRejects) {
   EXPECT_FALSE(ParseNumber("", &v));
   EXPECT_FALSE(ParseNumber("12abc", &v));
   EXPECT_FALSE(ParseNumber("abc", &v));
+}
+
+TEST(StringUtil, ParseNumberIntegerFastPathMatchesStrtod) {
+  // The integer fast path must agree with strtod bit for bit, and inputs
+  // it does not take (too long, signs, spaces, exponents) still parse
+  // exactly as strtod does.
+  const std::vector<std::string> inputs = {
+      "0",     "-0",   "007",  "9",     "-9",  "123456789012345",
+      "-999999999999999",     "1234567890123456", "99999999999999999999",
+      "-",     "+5",   " 5",   "5 ",    "1e3", "0x10", "1.5", "--1", "4-2"};
+  for (const std::string& input : inputs) {
+    char* end = nullptr;
+    double expected = std::strtod(input.c_str(), &end);
+    bool expected_ok = end == input.c_str() + input.size();
+    double value = 0;
+    ASSERT_EQ(ParseNumber(input, &value), expected_ok) << input;
+    if (expected_ok) {
+      EXPECT_EQ(value, expected) << input;
+      EXPECT_EQ(std::signbit(value), std::signbit(expected)) << input;
+    }
+  }
 }
 
 TEST(StringUtil, HumanBytes) {

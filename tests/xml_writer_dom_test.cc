@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "xml/dom.h"
 #include "xml/escape.h"
 #include "xml/generator.h"
@@ -36,6 +37,82 @@ TEST(Escape, Utf8CharacterReference) {
   std::string out;
   NEX_ASSERT_OK(AppendUnescaped(&out, "&#x20AC;"));  // euro sign
   EXPECT_EQ(out, "\xE2\x82\xAC");
+}
+
+// Per-byte reference escaper: the specification the bulk kernels match.
+std::string ReferenceEscape(std::string_view in, bool attribute) {
+  std::string out;
+  for (char c : in) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"':
+        out += attribute ? "&quot;" : "\"";
+        break;
+      default: out.push_back(c);
+    }
+  }
+  return out;
+}
+
+TEST(Escape, BulkKernelsMatchPerByteReference) {
+  const std::vector<std::string> alphabet = {
+      "&", "<", ">", "\"", "'", "a", "z", "0", " ", "\n",
+      "\xC3\xA9", "\xE2\x82\xAC", "\xF0\x9F\x98\x80", "\x7F", "\x80"};
+  Random rng(42);
+  for (int round = 0; round < 2000; ++round) {
+    // Lengths straddle the 16- and 8-byte scan widths and their tails.
+    std::string input;
+    for (uint64_t n = rng.Uniform(80); n > 0; --n) {
+      // Mostly clean bytes, so long special-free runs occur too.
+      input += rng.Uniform(4) == 0 ? alphabet[rng.Uniform(alphabet.size())]
+                                   : alphabet[5 + rng.Uniform(4)];
+    }
+    std::string text;
+    std::string attribute;
+    AppendEscapedText(&text, input);
+    AppendEscapedAttribute(&attribute, input);
+    ASSERT_EQ(text, ReferenceEscape(input, false)) << input;
+    ASSERT_EQ(attribute, ReferenceEscape(input, true)) << input;
+    for (const std::string* escaped : {&text, &attribute}) {
+      std::string back = "prefix";
+      NEX_ASSERT_OK(AppendUnescaped(&back, *escaped));
+      ASSERT_EQ(back, "prefix" + input);
+    }
+  }
+}
+
+TEST(Escape, MalformedEntitiesFailAnywhere) {
+  struct Case {
+    std::string entity;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"&", "malformed entity reference"},
+      {"&;", "malformed entity reference"},
+      {"&amp", "malformed entity reference"},
+      {"&bogus;", "unknown entity: &bogus;"},
+      {"&Amp;", "unknown entity: &Amp;"},
+      {"& amp;", "unknown entity: & amp;"},
+      {"&#;", "unknown entity: &#;"},
+      {"&#x;", "malformed character reference: &#x;"},
+      {"&#xZZ;", "malformed character reference: &#xZZ;"},
+      {"&#0;", "malformed character reference: &#0;"},
+      {"&#-5;", "malformed character reference: &#-5;"},
+      {"&#65a;", "malformed character reference: &#65a;"},
+      {"&#1114112;", "malformed character reference: &#1114112;"},
+      {"&#x110000;", "malformed character reference: &#x110000;"},
+  };
+  for (const Case& c : cases) {
+    for (const std::string& input :
+         {c.entity + "xyz", "ab&lt;" + c.entity + "cd", "wxyz" + c.entity}) {
+      std::string out;
+      Status st = AppendUnescaped(&out, input);
+      EXPECT_TRUE(st.IsParseError()) << input;
+      EXPECT_EQ(st.message(), c.message) << input;
+    }
+  }
 }
 
 TEST(XmlWriter, BasicDocument) {
