@@ -19,15 +19,15 @@ int main(int argc, char** argv) {
   std::string xml = MakeRandomDoc(/*height=*/7, /*max_fanout=*/10,
                                   /*seed=*/42, &doc_stats);
   constexpr uint64_t kMemoryBlocks = 128;
-  constexpr uint64_t kReadahead = 4;
+  constexpr uint64_t kPrefetchDepth = 4;
   std::printf("Buffer-pool cache sweep (fig5 workload, fixed M)\n");
   std::printf("document: %s elements, k=%llu, height=%d, %s\n",
               WithCommas(doc_stats.elements).c_str(),
               static_cast<unsigned long long>(doc_stats.max_fanout),
               doc_stats.height, HumanBytes(doc_stats.bytes).c_str());
-  std::printf("block size %zu, M=%llu blocks, readahead %llu\n", kBlockSize,
-              static_cast<unsigned long long>(kMemoryBlocks),
-              static_cast<unsigned long long>(kReadahead));
+  std::printf("block size %zu, M=%llu blocks, prefetch depth %llu\n",
+              kBlockSize, static_cast<unsigned long long>(kMemoryBlocks),
+              static_cast<unsigned long long>(kPrefetchDepth));
 
   std::string baseline_output;
   uint64_t baseline_io = 0;
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     env_options.block_size = kBlockSize;
     env_options.memory_blocks = kMemoryBlocks;
     env_options.cache = {.frames = frames,
-                         .readahead = frames > 0 ? kReadahead : 0};
+                         .prefetch_depth = frames > 0 ? kPrefetchDepth : 0};
     std::string output;
     RunResult result = RunNexSort(xml, std::move(env_options),
                                   std::move(options), json_log.enabled(),
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     json_log.AddRow("nexsort_cached",
                     {{"memory_blocks", kMemoryBlocks},
                      {"cache_frames", frames},
-                     {"readahead", frames > 0 ? kReadahead : 0}},
+                     {"prefetch_depth", frames > 0 ? kPrefetchDepth : 0}},
                     result);
     bool identical;
     if (frames == 0) {

@@ -1,6 +1,6 @@
 // Compute/I-O overlap sweep on the Figure-5 workload: the same document,
 // budget, and pinned sort allowance, sorted serially and with increasing
-// worker counts (plus a merge-prefetching variant). Unlike the counted
+// worker counts (plus cached and read-ahead variants). Unlike the counted
 // benches, the interesting metric here is *wall clock*, so each run's
 // SortEnv stacks a Throttle layer over the memory base that pays a real
 // (slept) latency per block — on a pure memory device the CPU dominates
@@ -168,10 +168,8 @@ std::unique_ptr<SortEnv> MakeThrottledEnv(const Config& config,
   env_options.sort_memory_blocks = sort_blocks;
   env_options.layers.push_back(DeviceLayer::Throttle(model));
   env_options.parallel.threads = config.threads;
-  env_options.parallel.prefetch_depth = config.prefetch_depth;
-  if (config.cache_frames > 0) {
-    env_options.cache = {.frames = config.cache_frames, .readahead = 0};
-  }
+  env_options.cache = {.frames = config.cache_frames,
+                       .prefetch_depth = config.prefetch_depth};
   if (timeline != nullptr) timeline->Arm(&env_options);
   auto env = SortEnv::Create(std::move(env_options));
   if (!env.ok()) {

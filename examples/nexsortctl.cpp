@@ -29,7 +29,7 @@
 //   cancel --job ID          cancel (queued: immediate; running: next
 //                            block boundary)
 //   jobs                     every job record the daemon remembers
-//   stats                    the nexsortd-stats-v1 document (env, live
+//   stats                    the nexsortd-stats-v2 document (env, live
 //                            sessions, queue, admission, tenants, jobs)
 //   shutdown                 ask the daemon to exit cleanly
 //   --version / --help

@@ -25,17 +25,17 @@
 //                         come out of the --memory-mb budget, so M must
 //                         cover N + the 8 blocks the sort needs. See
 //                         docs/CACHING.md
-//   --readahead N         prefetch up to N blocks ahead on sequential
-//                         scans (needs --cache-blocks; capped at half
-//                         the pool)
 //   --threads N           worker threads overlapping compute and I/O:
 //                         double-buffered run formation + partitioned
 //                         spill sorts (0 = serial, the default; output is
 //                         byte-identical either way). See
 //                         docs/PARALLELISM.md
-//   --prefetch-depth K    prefetch merge-input runs K blocks ahead per
-//                         source into the block cache (needs
-//                         --cache-blocks)
+//   --prefetch-depth K    load up to K blocks ahead of every advised
+//                         scan (merge inputs, the merged result, the
+//                         output DFS) into the block cache; needs
+//                         --cache-blocks. The window shrinks to share
+//                         half the frames among live scans. See
+//                         docs/CACHING.md, "Read-ahead"
 //   --run-formation P     run-formation policy for external sorts:
 //                         quicksort (default) or replacement
 //                         (heap-based replacement selection: ~2x mean run
@@ -141,21 +141,26 @@ class FileSink final : public ByteSink {
   FILE* file_;
 };
 
-void Usage() {
-  std::fprintf(stderr,
+void Usage(int exit_code = 2) {
+  std::fprintf(exit_code == 0 ? stdout : stderr,
                "usage: xmlsort [--by-attr NAME | --by-tag | --by-child-text "
                "PATH]\n               [--numeric] [--descending] "
                "[--depth-limit D] [--memory-mb M]\n               "
-               "[--block-kb B] [--threshold-blocks T] [--cache-blocks N] "
-               "[--readahead N]\n               [--threads N] "
-               "[--prefetch-depth K] [--graceful] [--stats]\n               "
+               "[--block-kb B] [--threshold-blocks T] [--cache-blocks N]\n"
+               "               [--prefetch-depth K] [--threads N] "
+               "[--graceful] [--stats]\n               "
                "[--run-formation quicksort|replacement]\n               "
                "[--merge-policy planned|greedy] [--no-dfs-placement] "
                "[--stream]\n               "
                "[--sample-interval-ms N] [--timeline-out FILE] "
                "[--chrome-trace FILE] [--progress]\n               "
-               "<input.xml> <output.xml>\n");
-  std::exit(2);
+               "<input.xml> <output.xml>\n"
+               "\n--prefetch-depth K loads up to K blocks ahead of each "
+               "advised scan into the\n--cache-blocks frames (the only "
+               "read-ahead; see docs/CACHING.md, \"Read-ahead\").\n"
+               "Every option is described at the top of "
+               "examples/xmlsort.cpp.\n");
+  std::exit(exit_code);
 }
 
 }  // namespace
@@ -171,7 +176,6 @@ int main(int argc, char** argv) {
   uint64_t threshold_blocks = 2;
   uint64_t sort_memory_blocks = 0;
   uint64_t cache_blocks = 0;
-  uint64_t cache_readahead = 0;
   uint64_t threads = 0;
   uint64_t prefetch_depth = 0;
   bool graceful = false;
@@ -203,7 +207,9 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Usage();
       return argv[++i];
     };
-    if (arg == "--order") {
+    if (arg == "--help" || arg == "-h") {
+      Usage(0);
+    } else if (arg == "--order") {
       order_spec_text = next();
     } else if (arg == "--by-attr") {
       rule.source = KeySource::kAttribute;
@@ -230,8 +236,6 @@ int main(int argc, char** argv) {
       sort_memory_blocks = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--cache-blocks") {
       cache_blocks = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--readahead") {
-      cache_readahead = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--threads") {
       threads = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--prefetch-depth") {
@@ -356,10 +360,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cache_blocks));
     return 2;
   }
-  if (cache_readahead > 0 && cache_blocks == 0) {
-    std::fprintf(stderr, "--readahead needs --cache-blocks\n");
-    return 2;
-  }
   if (prefetch_depth > 0 && cache_blocks == 0) {
     std::fprintf(stderr, "--prefetch-depth needs --cache-blocks\n");
     return 2;
@@ -440,10 +440,9 @@ int main(int argc, char** argv) {
   env_options.memory_blocks = memory_blocks;
   env_options.file_path = work_path;
   env_options.sort_memory_blocks = sort_memory_blocks;
-  env_options.cache = {.frames = cache_blocks, .readahead = cache_readahead};
+  env_options.cache = {.frames = cache_blocks,
+                       .prefetch_depth = prefetch_depth};
   env_options.parallel.threads = static_cast<uint32_t>(threads);
-  env_options.parallel.prefetch_depth =
-      static_cast<uint32_t>(prefetch_depth);
   env_options.sample_interval_ms = static_cast<uint32_t>(sample_interval_ms);
   if (want_telemetry) env_options.tracer = &tracer;
   auto env_or = SortEnv::Create(std::move(env_options));
@@ -619,7 +618,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(cache.writebacks),
                    static_cast<unsigned long long>(cache.prefetches));
     }
-    if (threads > 0 || prefetch_depth > 0) {
+    if (threads > 0) {
       ParallelStats par = sorter.parallel_stats();
       std::fprintf(stderr,
                    "parallel: %llu threads, %llu async / %llu sync spills "
@@ -639,7 +638,7 @@ int main(int argc, char** argv) {
     JsonWriter json;
     json.BeginObject();
     json.Key("schema");
-    json.String("nexsort-stats-v1");
+    json.String("nexsort-stats-v2");
     json.Key("tool");
     json.String("xmlsort");
     json.Key("input");
@@ -668,19 +667,17 @@ int main(int argc, char** argv) {
     json.Bool(cache_blocks > 0);
     json.Key("frames");
     json.Uint(cache_blocks);
-    json.Key("readahead");
-    json.Uint(cache_readahead);
+    json.Key("prefetch_depth");
+    json.Uint(prefetch_depth);
     json.Key("counters");
     sorter.cache_stats().ToJson(&json);
     json.EndObject();
     json.Key("parallel");
     json.BeginObject();
     json.Key("enabled");
-    json.Bool(threads > 0 || prefetch_depth > 0);
+    json.Bool(threads > 0);
     json.Key("threads");
     json.Uint(threads);
-    json.Key("prefetch_depth");
-    json.Uint(prefetch_depth);
     json.Key("counters");
     sorter.parallel_stats().ToJson(&json);
     json.EndObject();

@@ -7,7 +7,7 @@ consumers: per-phase wall time and per-category I/O counts on every span,
 the memory peak, the run count, and the run-size histogram. Wired into
 ctest as `telemetry_schema_check` so a schema regression fails the suite.
 
-With --service-stats, validates a `nexsortd-stats-v1` document instead
+With --service-stats, validates a `nexsortd-stats-v2` document instead
 (the `stats` member of a `nexsortctl stats` response, see docs/SERVICE.md):
 the shared-env description, the per-session attribution array, and the
 queue / admission / tenant / job blocks the daemon reports.
@@ -120,7 +120,7 @@ def check_hit_rate_convention(counters, where):
 
 def check_cache(cache, cache_enabled):
     """Validate the stats.cache block for a run with caching on or off."""
-    for key in ("enabled", "frames", "readahead", "counters"):
+    for key in ("enabled", "frames", "prefetch_depth", "counters"):
         check(key in cache, f"stats.cache: missing key '{key}'")
     check(cache.get("enabled") is cache_enabled,
           f"stats.cache: enabled is {cache.get('enabled')!r}, "
@@ -163,14 +163,18 @@ def check_no_hit_rate_gauge(telemetry):
 PARALLEL_COUNTER_KEYS = ("async_spills", "sync_spills",
                          "double_buffer_declined", "parallel_sorts",
                          "sort_partitions", "prefetch_issued",
-                         "prefetch_declined", "spill_wait_seconds",
-                         "spill_busy_seconds")
+                         "spill_wait_seconds", "spill_busy_seconds")
 
 
 def check_parallel(parallel, parallel_enabled):
     """Validate the stats.parallel block in serial and parallel runs."""
-    for key in ("enabled", "threads", "prefetch_depth", "counters"):
+    for key in ("enabled", "threads", "counters"):
         check(key in parallel, f"stats.parallel: missing key '{key}'")
+    # v2 moved the look-ahead depth to stats.cache (one knob, one home).
+    check("prefetch_depth" not in parallel,
+          "stats.parallel: 'prefetch_depth' belongs to stats.cache in v2")
+    check("prefetch_declined" not in parallel.get("counters", {}),
+          "stats.parallel.counters: 'prefetch_declined' was dropped in v2")
     check(parallel.get("enabled") is parallel_enabled,
           f"stats.parallel: enabled is {parallel.get('enabled')!r}, "
           f"expected {parallel_enabled}")
@@ -178,9 +182,8 @@ def check_parallel(parallel, parallel_enabled):
     for key in PARALLEL_COUNTER_KEYS:
         check(key in counters, f"stats.parallel.counters: missing '{key}'")
     if parallel_enabled:
-        check(parallel.get("threads", 0) > 0
-              or parallel.get("prefetch_depth", 0) > 0,
-              "stats.parallel: enabled without threads or prefetch_depth")
+        check(parallel.get("threads", 0) > 0,
+              "stats.parallel: enabled without threads")
     else:
         for key in ("async_spills", "parallel_sorts", "prefetch_issued"):
             check(counters.get(key) == 0,
@@ -196,7 +199,7 @@ def check_parallel_metrics(telemetry):
 
 
 ENV_KEYS = ("block_size", "memory_blocks", "device", "layers",
-            "cache_frames", "readahead", "threads", "prefetch_depth",
+            "cache_frames", "prefetch_depth", "threads",
             "sort_memory_blocks", "sample_interval_ms")
 
 KNOWN_LAYERS = ("throttle", "fault")
@@ -226,14 +229,12 @@ def check_env(env, stats):
     cache = stats.get("cache", {})
     check(env.get("cache_frames") == cache.get("frames"),
           "stats.env.cache_frames disagrees with stats.cache.frames")
-    check(env.get("readahead") == cache.get("readahead"),
-          "stats.env.readahead disagrees with stats.cache.readahead")
+    check(env.get("prefetch_depth") == cache.get("prefetch_depth"),
+          "stats.env.prefetch_depth disagrees with "
+          "stats.cache.prefetch_depth")
     parallel = stats.get("parallel", {})
     check(env.get("threads") == parallel.get("threads"),
           "stats.env.threads disagrees with stats.parallel.threads")
-    check(env.get("prefetch_depth") == parallel.get("prefetch_depth"),
-          "stats.env.prefetch_depth disagrees with "
-          "stats.parallel.prefetch_depth")
 
 
 SESSION_KEYS = ("id", "active", "start_seconds", "wall_seconds", "io",
@@ -398,9 +399,9 @@ def check_sort_block(sort, expect_policy=None, expect_streaming=None,
 def check_stats(stats, cache_enabled=False, parallel_enabled=False,
                 expect_policy=None, expect_streaming=None,
                 expect_merge_policy=None):
-    check(stats.get("schema") == "nexsort-stats-v1",
+    check(stats.get("schema") == "nexsort-stats-v2",
           f"stats schema is {stats.get('schema')!r}, "
-          "expected 'nexsort-stats-v1'")
+          "expected 'nexsort-stats-v2'")
     for key in ("tool", "input", "block_size", "memory_blocks",
                 "memory_peak_blocks", "run_count", "env", "io", "cache",
                 "parallel", "sessions", "sort", "nexsort", "telemetry"):
@@ -450,12 +451,12 @@ JOB_KINDS = ("sort", "merge", "batch_update")
 
 
 def check_service_stats(stats):
-    """Validate a `nexsortd-stats-v1` document (docs/SERVICE.md): the
+    """Validate a `nexsortd-stats-v2` document (docs/SERVICE.md): the
     daemon's live snapshot of its shared env, session attribution, queue
     and admission counters, tenant fair-share state, and job table."""
-    check(stats.get("schema") == "nexsortd-stats-v1",
+    check(stats.get("schema") == "nexsortd-stats-v2",
           f"service stats schema is {stats.get('schema')!r}, "
-          "expected 'nexsortd-stats-v1'")
+          "expected 'nexsortd-stats-v2'")
     uptime = stats.get("uptime_seconds")
     check(isinstance(uptime, (int, float)) and uptime >= 0,
           "service stats: uptime_seconds is not a non-negative number")
@@ -641,7 +642,7 @@ def main():
                         help="write artifacts into this directory and keep "
                              "them (default: a temp dir)")
     parser.add_argument("--service-stats", default=None,
-                        help="validate this nexsortd-stats-v1 document "
+                        help="validate this nexsortd-stats-v2 document "
                              "instead of driving xmlsort")
     args = parser.parse_args()
 
@@ -673,9 +674,10 @@ def main():
         workdir.mkdir(parents=True, exist_ok=True)
 
         # Seven runs: the default (cache and pipeline off, the stats blocks
-        # must say so), a cached run (cache counters populated and mirrored
-        # into the telemetry), a parallel run (worker threads + merge
-        # prefetching; parallel counters populated, output byte-identical
+        # must say so), a cached run with inline read-ahead (cache counters
+        # populated and mirrored into the telemetry), a parallel run
+        # (worker threads running the read-ahead loads; parallel counters
+        # populated, output byte-identical
         # to the serial runs), a sampled run (live sampler on, timeline
         # JSONL validated record-by-record; sampling must not change the
         # sorted bytes either), a replacement-selection run (the sort block
@@ -690,7 +692,7 @@ def main():
              expect_policy, expect_streaming, expect_merge_policy) in (
             ("default", [], False, False, "quicksort_chunks", False,
              "planned"),
-            ("cached", ["--cache-blocks", "32", "--readahead", "4"],
+            ("cached", ["--cache-blocks", "32", "--prefetch-depth", "4"],
              True, False, "quicksort_chunks", False, "planned"),
             ("parallel", ["--cache-blocks", "32", "--threads", "2",
                           "--prefetch-depth", "4"], True, True,

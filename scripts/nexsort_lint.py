@@ -105,7 +105,6 @@ CANONICAL_HEADER = {
     "WorkerPool": "parallel/worker_pool.h",
     "AsyncSpiller": "parallel/async_spiller.h",
     "BoundedQueue": "parallel/bounded_queue.h",
-    "RunPrefetcher": "parallel/run_prefetcher.h",
     "SortEnv": "env/sort_env.h",
     "SortEnvOptions": "env/sort_env.h",
     "SortEnvBuilder": "env/sort_env.h",

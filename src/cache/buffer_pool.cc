@@ -6,6 +6,7 @@
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "parallel/worker_pool.h"
 #include "util/dcheck.h"
 
 namespace nexsort {
@@ -55,6 +56,13 @@ BufferPool::BufferPool(BlockDevice* base, MemoryBudget* budget,
 }
 
 BufferPool::~BufferPool() {
+  {
+    // Queued look-ahead loads capture `this`; let them run out first.
+    MutexLock lock(&mutex_);
+    while (pending_batches_ > 0) busy_done_.Wait(&mutex_);
+    NEXSORT_DCHECK_MSG(scans_.empty(),
+                       "BufferPool destroyed with live read advice");
+  }
   // A pinned frame at destruction means a Pin was never matched by an
   // Unpin — the caller holds a pointer into data_ that is about to die.
   NEXSORT_DCHECK_MSG(pinned_frames() == 0,
@@ -274,86 +282,127 @@ void BufferPool::Unpin(size_t frame, bool mark_dirty, IoCategory category) {
 
 char* BufferPool::FrameData(size_t frame) { return DataOf(frame); }
 
-void BufferPool::ReadAhead(uint64_t block_id, IoCategory category) {
-  // Cap the window at half the pool: a prefetch burst must not flush the
-  // working set (and needs at least one frame left for the caller).
-  uint64_t window = std::min(options_.readahead,
-                             std::max<uint64_t>(frames_.size() / 2, 1));
-  uint64_t limit = base_->num_blocks();
-  for (uint64_t ahead = 1; ahead <= window; ++ahead) {
-    uint64_t next = block_id + ahead;
-    if (next >= limit) return;
-    auto loaded = PinLocked(next, category, /*load=*/true,
+BufferPool::ReadAdvice& BufferPool::ReadAdvice::operator=(
+    ReadAdvice&& other) noexcept {
+  if (this != &other) {
+    (void)Release();
+    pool_ = other.pool_;
+    id_ = other.id_;
+    other.pool_ = nullptr;
+  }
+  return *this;
+}
+
+uint64_t BufferPool::ReadAdvice::Release() {
+  if (pool_ == nullptr) return 0;
+  BufferPool* pool = pool_;
+  pool_ = nullptr;
+  return pool->ReleaseAdvice(id_);
+}
+
+BufferPool::ReadAdvice BufferPool::AdviseReadSequence(
+    std::vector<uint64_t> blocks) {
+  if (options_.prefetch_depth == 0 || blocks.empty()) return ReadAdvice();
+  MutexLock lock(&mutex_);
+  const uint64_t id = next_scan_id_++;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    advice_pos_.insert_or_assign(blocks[i], std::make_pair(id, i));
+  }
+  scans_[id].blocks = std::move(blocks);
+  return ReadAdvice(this, id);
+}
+
+uint64_t BufferPool::ReleaseAdvice(uint64_t id) {
+  MutexLock lock(&mutex_);
+  auto it = scans_.find(id);
+  if (it == scans_.end()) return 0;
+  AdvisedScan& scan = it->second;
+  // A load in flight may be reading a block the caller is about to free:
+  // wait it out. Loads not yet started see `released` and skip.
+  scan.released = true;
+  while (scan.loading > 0) busy_done_.Wait(&mutex_);
+  for (uint64_t block : scan.blocks) {
+    auto pos = advice_pos_.find(block);
+    if (pos != advice_pos_.end() && pos->second.first == id) {
+      advice_pos_.erase(pos);
+    }
+  }
+  const uint64_t offloaded = scan.offloaded;
+  scans_.erase(it);
+  return offloaded;
+}
+
+BufferPool::LoadBatch BufferPool::NextBatchLocked(uint64_t block_id,
+                                                  IoCategory category) {
+  if (scans_.empty()) return {};
+  auto advised = advice_pos_.find(block_id);
+  if (advised == advice_pos_.end()) return {};
+  const uint64_t scan_id = advised->second.first;
+  const size_t position = advised->second.second;
+  AdvisedScan& scan = scans_.at(scan_id);
+  // Half the frames are shared among the live advised scans, so a merge
+  // wider than that gets no look-ahead instead of evicting its own loads
+  // before they are read; the other half stays for the working set. The
+  // window also ramps up with the scan's reads (0 on the first, then one
+  // more per read), so a scan that stops after a block or two — the
+  // output DFS descending into a child run — loads little for nothing.
+  const uint64_t window = std::min<uint64_t>(
+      {options_.prefetch_depth, (frames_.size() / 2) / scans_.size(),
+       scan.reads++});
+  LoadBatch batch;
+  batch.scan = scan_id;
+  batch.from = std::max(scan.next, position + 1);
+  batch.to = std::min<size_t>(position + 1 + window, scan.blocks.size());
+  batch.category = category;
+  if (batch.from >= batch.to) return {};
+  scan.next = batch.to;
+  ++pending_batches_;
+  return batch;
+}
+
+void BufferPool::IssueBatch(const LoadBatch& batch) {
+  if (workers_ != nullptr &&
+      workers_->TrySubmit(
+          [this, batch] { LoadBatchBlocks(batch, /*on_worker=*/true); })) {
+    return;
+  }
+  LoadBatchBlocks(batch, /*on_worker=*/false);
+}
+
+void BufferPool::LoadBatchBlocks(const LoadBatch& batch, bool on_worker) {
+  MutexLock lock(&mutex_);
+  const uint64_t limit = base_->num_blocks();
+  for (size_t pos = batch.from; pos < batch.to; ++pos) {
+    auto it = scans_.find(batch.scan);
+    if (it == scans_.end() || it->second.released) break;  // may be freed
+    AdvisedScan& scan = it->second;
+    const uint64_t block = scan.blocks[pos];
+    if (block >= limit) continue;  // stale advice; skip, keep walking
+    // `scan` stays valid across the unlocked load: ReleaseAdvice waits
+    // for `loading` to drain before erasing it.
+    ++scan.loading;
+    if (on_worker) ++scan.offloaded;
+    auto loaded = PinLocked(block, batch.category, /*load=*/true,
                             /*as_prefetch=*/true);
-    if (!loaded.ok()) return;  // pool too pinned/dirty; abandon quietly
+    if (--scan.loading == 0) busy_done_.SignalAll();
+    if (!loaded.ok()) break;  // pool too pinned/dirty; abandon quietly
   }
-}
-
-void BufferPool::AdviseReadSequence(std::vector<uint64_t> blocks) {
-  MutexLock lock(&mutex_);
-  if (options_.readahead == 0) return;  // advice could never be acted on
-  advice_ = std::move(blocks);
-  advice_pos_.clear();
-  advice_pos_.reserve(advice_.size());
-  for (size_t i = 0; i < advice_.size(); ++i) {
-    advice_pos_.emplace(advice_[i], i);
-  }
-}
-
-void BufferPool::ClearReadAdvice() {
-  MutexLock lock(&mutex_);
-  advice_.clear();
-  advice_pos_.clear();
-}
-
-void BufferPool::ReadAheadAdvised(size_t position, IoCategory category) {
-  // Same window cap as ReadAhead: never flush the working set.
-  uint64_t window = std::min(options_.readahead,
-                             std::max<uint64_t>(frames_.size() / 2, 1));
-  uint64_t limit = base_->num_blocks();
-  for (uint64_t ahead = 1; ahead <= window; ++ahead) {
-    size_t next_pos = position + ahead;
-    if (next_pos >= advice_.size()) return;
-    uint64_t next = advice_[next_pos];
-    if (next >= limit) continue;  // stale advice; skip, keep walking
-    auto loaded = PinLocked(next, category, /*load=*/true,
-                            /*as_prefetch=*/true);
-    if (!loaded.ok()) return;  // pool too pinned/dirty; abandon quietly
-  }
-}
-
-void BufferPool::Prefetch(uint64_t block_id, IoCategory category) {
-  MutexLock lock(&mutex_);
-  if (block_id >= base_->num_blocks()) return;
-  // Best-effort: a failed claim or load is swallowed; the consuming read
-  // re-encounters the error where it can be reported.
-  (void)PinLocked(block_id, category, /*load=*/true, /*as_prefetch=*/true);
+  if (--pending_batches_ == 0) busy_done_.SignalAll();
 }
 
 Status BufferPool::ReadBlock(uint64_t block_id, char* buf,
                              IoCategory category) {
-  MutexLock lock(&mutex_);
-  size_t index;
-  ASSIGN_OR_RETURN(index, PinLocked(block_id, category, /*load=*/true,
-                                    /*as_prefetch=*/false));
-  std::memcpy(buf, DataOf(index), base_->block_size());
-  UnpinLocked(index, /*mark_dirty=*/false, IoCategory::kOther);
-
-  sequential_run_ = (last_read_block_ != kNoBlock &&
-                     block_id == last_read_block_ + 1)
-                        ? sequential_run_ + 1
-                        : 1;
-  last_read_block_ = block_id;
-  if (options_.readahead > 0) {
-    // Advised position wins over the id-adjacency detector: the advice
-    // knows the traversal order even where run placement left a seam.
-    auto advised = advice_pos_.find(block_id);
-    if (advised != advice_pos_.end()) {
-      ReadAheadAdvised(advised->second, category);
-    } else if (sequential_run_ >= 2) {
-      ReadAhead(block_id, category);
-    }
+  LoadBatch batch;
+  {
+    MutexLock lock(&mutex_);
+    size_t index;
+    ASSIGN_OR_RETURN(index, PinLocked(block_id, category, /*load=*/true,
+                                      /*as_prefetch=*/false));
+    std::memcpy(buf, DataOf(index), base_->block_size());
+    UnpinLocked(index, /*mark_dirty=*/false, IoCategory::kOther);
+    batch = NextBatchLocked(block_id, category);
   }
+  if (batch.from < batch.to) IssueBatch(batch);
   return Status::OK();
 }
 

@@ -5,16 +5,16 @@
 // single-block buffers and re-read hot blocks. A database-style buffer
 // manager closes that gap: BufferPool owns a fixed set of block-sized
 // frames acquired from the MemoryBudget, serves repeated accesses from
-// memory, defers writes until eviction, and prefetches ahead of detected
-// sequential scans.
+// memory, defers writes until eviction, and loads ahead along block
+// sequences its callers announce.
 //
 // Two layers:
 //
 //  * BufferPool — the frame table: pin/unpin reference counting, CLOCK
 //    (second-chance) eviction of unpinned frames, dirty-frame write-back
-//    (on eviction, on Flush(), and best-effort on destruction), and
-//    sequential read-ahead plus an explicit Prefetch() entry point for the
-//    merge-input RunPrefetcher.
+//    (on eviction, on Flush(), and best-effort on destruction), and the
+//    advised read-ahead (AdviseReadSequence) that is the repo's only
+//    look-ahead path.
 //  * CachedBlockDevice — a transparent BlockDevice wrapper over a pool:
 //    the same interface every extmem component already speaks, so streams,
 //    external stacks, the run store, and the external merge sort gain
@@ -34,10 +34,10 @@
 // (which also retries the write). See docs/CACHING.md.
 //
 // Thread-safe: one pool mutex guards the frame table, but base-device
-// transfers (miss loads, write-backs, prefetch loads) happen with the
+// transfers (miss loads, write-backs, look-ahead loads) happen with the
 // mutex *released* and the frame marked busy — busy frames are never
-// evicted and Pin waits for them — so a background prefetcher's reads
-// genuinely overlap foreground work. Pinned-frame invariants are
+// evicted and Pin waits for them — so look-ahead loads running on worker
+// threads genuinely overlap foreground work. Pinned-frame invariants are
 // unchanged: a pinned or busy frame is never recycled.
 #pragma once
 
@@ -45,6 +45,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "extmem/block_device.h"
@@ -56,24 +57,24 @@ namespace nexsort {
 
 class JsonWriter;
 class Tracer;
+class WorkerPool;
 
-/// Caching knobs threaded through NexSortOptions / KeyPathSortOptions and
-/// the xmlsort CLI (--cache-blocks, --readahead).
+/// Caching knobs carried by SortEnvOptions and the xmlsort CLI
+/// (--cache-blocks, --prefetch-depth).
 struct CacheOptions {
   /// Frames (blocks of internal memory) the pool holds, charged against
   /// the MemoryBudget for the pool's lifetime. 0 disables caching: the
   /// sorters then talk to the device directly and nothing is reserved.
   uint64_t frames = 0;
 
-  /// Blocks prefetched beyond the current one once an ascending block scan
-  /// is detected (two consecutive reads of adjacent ids). 0 disables
-  /// read-ahead. The effective window is capped at half the pool so a
-  /// prefetch burst can never flush the whole working set.
-  uint64_t readahead = 0;
+  /// Most blocks an advised scan is loaded ahead of its reads. 0 disables
+  /// read-ahead. The pool shrinks the window to share half its frames
+  /// among the live advised scans (docs/CACHING.md, "Read-ahead").
+  uint64_t prefetch_depth = 0;
 };
 
 /// Counters describing one pool's lifetime; exported into the `cache`
-/// block of nexsort-stats-v1 and mirrored as cache_* metrics in
+/// block of nexsort-stats-v2 and mirrored as cache_* metrics in
 /// nexsort-telemetry-v1 when a tracer is attached.
 struct CacheStats {
   uint64_t hits = 0;         // logical accesses served from a frame
@@ -81,7 +82,7 @@ struct CacheStats {
   uint64_t evictions = 0;    // valid frames recycled for another block
   uint64_t writebacks = 0;   // dirty frames written to the device
   uint64_t writeback_failures = 0;  // failed write-back attempts
-  uint64_t prefetches = 0;   // blocks loaded ahead of consumption
+  uint64_t prefetches = 0;   // blocks loaded ahead along advised scans
 
   /// Hits / (hits + misses); 0 when nothing was accessed — but note the
   /// export convention: ToJson omits hit_rate entirely at zero accesses,
@@ -128,8 +129,8 @@ class BufferPool {
   void set_tracer(Tracer* tracer);
 
   /// Read `block_id` through the cache into `buf` (block_size bytes). The
-  /// physical load on a miss — and any read-ahead it triggers — is
-  /// attributed to `category`.
+  /// physical load on a miss — and any advised look-ahead it triggers —
+  /// is attributed to `category`.
   [[nodiscard]] Status ReadBlock(uint64_t block_id, char* buf, IoCategory category);
 
   /// Write `block_id` through the cache from `buf`: the frame is dirtied
@@ -138,26 +139,50 @@ class BufferPool {
   /// overwrite). `category` is remembered for the eventual write-back.
   [[nodiscard]] Status WriteBlock(uint64_t block_id, const char* buf, IoCategory category);
 
-  /// Load `block_id` into a frame ahead of consumption (RunPrefetcher
-  /// entry point; counted as a prefetch, not a miss). No-op when already
-  /// resident. Best-effort: errors are swallowed — the consuming read
-  /// will hit them for real.
-  void Prefetch(uint64_t block_id, IoCategory category);
+  /// RAII handle on one advised scan (see AdviseReadSequence). Movable;
+  /// destroying or Release()-ing it retires the advice.
+  class ReadAdvice {
+   public:
+    ReadAdvice() = default;
+    ReadAdvice(ReadAdvice&& other) noexcept
+        : pool_(other.pool_), id_(other.id_) {
+      other.pool_ = nullptr;
+    }
+    ReadAdvice& operator=(ReadAdvice&& other) noexcept;
+    ReadAdvice(const ReadAdvice&) = delete;
+    ReadAdvice& operator=(const ReadAdvice&) = delete;
+    ~ReadAdvice() { (void)Release(); }
 
-  /// Advisory traversal order (ROADMAP item 4, docs/MERGE_PLANNING.md):
-  /// the caller announces the exact block sequence an upcoming scan will
-  /// read — e.g. the output DFS over placed runs — and ReadBlock then
-  /// prefetches *along that sequence* instead of relying on the id+1
-  /// sequential detector, which only fires once placement has already made
-  /// the ids adjacent. Purely a performance hint: stale or wrong advice
-  /// costs wasted prefetches, never correctness. A new call replaces any
-  /// previous advice (the pool keeps one sequence; concurrent scans fall
-  /// back to the sequential detector). No-op when readahead is disabled.
-  void AdviseReadSequence(std::vector<uint64_t> blocks);
+    /// Retire the advice: waits for this scan's in-flight loads, and no
+    /// load touches its blocks afterwards, so the caller may then free
+    /// the run. Returns how many of its blocks were loaded on worker
+    /// threads. Idempotent (0 on an inert or released handle).
+    uint64_t Release();
 
-  /// Drop the current advice. Callers clear when their scan ends so
-  /// recycled block ids cannot trigger bogus prefetches for a later job.
-  void ClearReadAdvice();
+   private:
+    friend class BufferPool;
+    ReadAdvice(BufferPool* pool, uint64_t id) : pool_(pool), id_(id) {}
+    BufferPool* pool_ = nullptr;
+    uint64_t id_ = 0;
+  };
+
+  /// Announce the exact block sequence an upcoming scan will read — a
+  /// merge input run, the merged result being drained, the run the output
+  /// DFS streams next. While the handle lives, each ReadBlock of one of
+  /// these blocks queues loads of the blocks after it in the sequence, up
+  /// to min(prefetch_depth, (frames / 2) / live advised scans) ahead; the
+  /// window starts at 0 on the scan's first read and grows by one per
+  /// read up to that cap. Loads run on the worker pool when it has
+  /// threads (inline otherwise). Any number of scans may be advised at
+  /// once; purely a performance hint — stale or wrong advice costs wasted
+  /// loads, never correctness. Returns an inert handle when
+  /// prefetch_depth == 0 or `blocks` is empty.
+  [[nodiscard]] ReadAdvice AdviseReadSequence(std::vector<uint64_t> blocks);
+
+  /// Run look-ahead loads on `workers` (not owned; may be null = inline).
+  /// Set once, before any advice is installed. ~BufferPool waits for the
+  /// loads it queued there.
+  void set_workers(WorkerPool* workers) { workers_ = workers; }
 
   /// Pin the frame holding `block_id`, loading it from the device first
   /// when `load` is true and the block is not resident. Pinned frames are
@@ -231,15 +256,30 @@ class BufferPool {
   /// Destructor invariant probe: no frame left dirty (takes the lock).
   bool AllFramesClean() const NEXSORT_EXCLUDES(mutex_);
 
-  /// Load blocks [block_id+1, block_id+window] that are not yet resident.
-  /// Best-effort: a failed load abandons the rest of the window.
-  void ReadAhead(uint64_t block_id, IoCategory category)
+  /// Look-ahead loads one read queued: positions [from, to) of scan `scan`.
+  struct LoadBatch {
+    uint64_t scan = 0;
+    size_t from = 0;
+    size_t to = 0;
+    IoCategory category = IoCategory::kOther;
+  };
+
+  /// If `block_id` belongs to an advised scan, reserve the next window of
+  /// that scan's blocks for loading (empty batch otherwise).
+  LoadBatch NextBatchLocked(uint64_t block_id, IoCategory category)
       NEXSORT_REQUIRES(mutex_);
 
-  /// Advisory-order read-ahead: load the next window of blocks *after
-  /// `position` in the advised sequence*, regardless of their ids.
-  void ReadAheadAdvised(size_t position, IoCategory category)
-      NEXSORT_REQUIRES(mutex_);
+  /// Hand a batch to a worker thread, or load it inline when there is
+  /// none (or its queue is full).
+  void IssueBatch(const LoadBatch& batch) NEXSORT_EXCLUDES(mutex_);
+
+  /// Load a batch's blocks in scan order, stopping early once the scan is
+  /// released. Best-effort: failures are left for the consuming read.
+  void LoadBatchBlocks(const LoadBatch& batch, bool on_worker)
+      NEXSORT_EXCLUDES(mutex_);
+
+  /// ReadAdvice::Release for scan `id`: returns its offloaded count.
+  uint64_t ReleaseAdvice(uint64_t id) NEXSORT_EXCLUDES(mutex_);
 
   void CountHit() NEXSORT_REQUIRES(mutex_);
   void CountMiss() NEXSORT_REQUIRES(mutex_);
@@ -264,14 +304,24 @@ class BufferPool {
   size_t clock_hand_ NEXSORT_GUARDED_BY(mutex_) = 0;
   uint64_t pinned_frames_ NEXSORT_GUARDED_BY(mutex_) = 0;
 
-  // Sequential-scan detector for read-ahead.
-  uint64_t last_read_block_ NEXSORT_GUARDED_BY(mutex_) = kNoBlock;
-  uint64_t sequential_run_ NEXSORT_GUARDED_BY(mutex_) = 0;
-
-  // Advisory read order: the announced sequence plus each block's first
-  // position in it (a run's blocks are distinct, so first-wins is exact).
-  std::vector<uint64_t> advice_ NEXSORT_GUARDED_BY(mutex_);
-  std::unordered_map<uint64_t, size_t> advice_pos_ NEXSORT_GUARDED_BY(mutex_);
+  // Advised scans by handle id, and each advised block's (scan, position).
+  // A block named by several scans keeps the latest advice.
+  struct AdvisedScan {
+    std::vector<uint64_t> blocks;
+    size_t next = 0;         // first position not yet reserved for loading
+    uint32_t loading = 0;    // loads in flight (lock dropped for the I/O)
+    uint64_t offloaded = 0;  // blocks loaded on worker threads
+    uint64_t reads = 0;      // advised reads so far (ramps the window)
+    bool released = false;   // Release() started: start no further loads
+  };
+  std::unordered_map<uint64_t, AdvisedScan> scans_ NEXSORT_GUARDED_BY(mutex_);
+  std::unordered_map<uint64_t, std::pair<uint64_t, size_t>> advice_pos_
+      NEXSORT_GUARDED_BY(mutex_);
+  uint64_t next_scan_id_ NEXSORT_GUARDED_BY(mutex_) = 1;
+  /// Batches reserved by NextBatchLocked and not yet loaded (the
+  /// destructor waits for those queued on workers).
+  uint64_t pending_batches_ NEXSORT_GUARDED_BY(mutex_) = 0;
+  WorkerPool* workers_ = nullptr;
 
   /// Sticky failure surfaced by Flush().
   Status deferred_writeback_ NEXSORT_GUARDED_BY(mutex_);

@@ -376,16 +376,15 @@ class NexSorter::OutputStream final : public SortedStream {
   }
 
   /// Announce the run the DFS is about to read to the buffer pool's
-  /// advisory read-ahead (docs/MERGE_PLANNING.md): each descent/resume
-  /// re-points the advice at the blocks the traversal will stream next.
-  /// Purely advisory — a null pool or disabled read-ahead is fine.
+  /// read-ahead (docs/CACHING.md): each descent/resume re-points the
+  /// advice at the blocks the traversal will stream next. Purely advisory
+  /// — a null pool or disabled read-ahead is fine.
   void AdviseRun(RunHandle handle) {
     BufferPool* pool = owner_->session_.buffer_pool();
-    if (pool == nullptr || pool->options().readahead == 0) return;
+    if (pool == nullptr) return;
     std::vector<uint64_t> blocks;
     if (owner_->store_->SnapshotBlocks(handle, &blocks).ok()) {
-      pool->AdviseReadSequence(std::move(blocks));
-      advised_ = true;
+      advice_ = pool->AdviseReadSequence(std::move(blocks));
     }
   }
 
@@ -441,9 +440,8 @@ class NexSorter::OutputStream final : public SortedStream {
     RETURN_IF_ERROR(emitter_->Finish());
     NexSorter* owner = owner_;
     owner->stats_.output_bytes = emitter_->output_bytes();
-    // Freed runs recycle their block ids; stale advice must not outlive
-    // the traversal that installed it.
-    if (advised_) owner->session_.buffer_pool()->ClearReadAdvice();
+    // Stale advice must not outlive the traversal that installed it.
+    (void)advice_.Release();
     reader_.reset();
     locations_.reset();
     emitter_.reset();
@@ -479,7 +477,7 @@ class NexSorter::OutputStream final : public SortedStream {
   bool dfs_done_ = false;   // traversal exhausted
   bool completed_ = false;  // completion work done
   bool done_ = false;       // final false already returned
-  bool advised_ = false;    // pool read-advice installed by AdviseRun
+  BufferPool::ReadAdvice advice_;  // the current run's, from AdviseRun
 };
 
 StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortStream(

@@ -78,11 +78,11 @@ struct SubtreeSortStats {
   uint64_t fragment_premerge_passes = 0;
   uint64_t largest_subtree_bytes = 0;
   /// Run-length accounting aggregated over the external merge sorts (the
-  /// "sort" block of nexsort-stats-v1; see docs/OBSERVABILITY.md).
+  /// "sort" block of nexsort-stats-v2; see docs/OBSERVABILITY.md).
   RunFormationStats run_formation;
   uint64_t merge_passes = 0;  // merge passes across those external sorts
   /// Merge-schedule accounting aggregated over those external sorts (the
-  /// "merge_plan" block of nexsort-stats-v1).
+  /// "merge_plan" block of nexsort-stats-v2).
   MergePlanStats merge_plan;
 };
 

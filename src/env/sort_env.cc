@@ -93,9 +93,9 @@ StatusOr<std::unique_ptr<SortEnv>> SortEnv::Create(SortEnvOptions options) {
   if (options.memory_blocks == 0) {
     return Status::InvalidArgument("SortEnv: memory_blocks must be >= 1");
   }
-  if (options.cache.frames == 0 && options.cache.readahead > 0) {
+  if (options.cache.frames == 0 && options.cache.prefetch_depth > 0) {
     return Status::InvalidArgument(
-        "SortEnv: cache.readahead needs cache.frames > 0");
+        "SortEnv: cache.prefetch_depth needs cache.frames > 0");
   }
   if (options.cache.frames > 0 && options.cache.frames >= options.memory_blocks) {
     return Status::InvalidArgument(
@@ -127,15 +127,16 @@ StatusOr<std::unique_ptr<SortEnv>> SortEnv::Create(SortEnvOptions options) {
     env->physical_ = env->layers_.back().get();
   }
 
+  if (opts.parallel.threads > 0) {
+    env->worker_pool_ = std::make_unique<WorkerPool>(opts.parallel.threads);
+  }
+
   if (opts.cache.frames > 0) {
     env->cache_ = std::make_unique<CachedBlockDevice>(
         env->physical_, &env->budget_, opts.cache);
     RETURN_IF_ERROR(env->cache_->init_status());
     if (opts.tracer != nullptr) env->cache_->pool()->set_tracer(opts.tracer);
-  }
-
-  if (opts.parallel.threads > 0) {
-    env->worker_pool_ = std::make_unique<WorkerPool>(opts.parallel.threads);
+    env->cache_->pool()->set_workers(env->worker_pool_.get());
   }
 
   if (opts.sample_interval_ms > 0) {
@@ -349,12 +350,10 @@ void SortEnv::DescribeJson(JsonWriter* writer) const {
   writer->EndArray();
   writer->Key("cache_frames");
   writer->Uint(options_.cache.frames);
-  writer->Key("readahead");
-  writer->Uint(options_.cache.readahead);
+  writer->Key("prefetch_depth");
+  writer->Uint(options_.cache.prefetch_depth);
   writer->Key("threads");
   writer->Uint(options_.parallel.threads);
-  writer->Key("prefetch_depth");
-  writer->Uint(options_.parallel.prefetch_depth);
   writer->Key("sort_memory_blocks");
   writer->Uint(options_.sort_memory_blocks);
   writer->Key("sample_interval_ms");

@@ -64,7 +64,7 @@ struct SessionStats {
   uint64_t spilled_bytes = 0;  // payload bytes finished into runs
   uint64_t budget_peak_blocks = 0;
 
-  /// One object of the `sessions` array in nexsort-stats-v1.
+  /// One object of the `sessions` array in nexsort-stats-v2.
   void ToJson(JsonWriter* writer) const;
 };
 
@@ -111,10 +111,11 @@ struct SortEnvOptions {
 
   /// Block cache on top of the device stack (frames > 0 enables it; the
   /// frames are charged against memory_blocks for the env's lifetime).
+  /// cache.prefetch_depth needs cache.frames > 0.
   CacheOptions cache;
 
   /// Compute/I-O overlap: threads > 0 starts one WorkerPool shared by
-  /// every session; prefetch_depth needs cache.frames > 0.
+  /// every session (it also runs the cache's look-ahead loads).
   ParallelOptions parallel;
 
   /// Blocks of internal memory each sort may use; 0 sizes automatically
@@ -142,7 +143,7 @@ class SortEnv {
  public:
   /// Validates the options and composes the stack. Fails when the backing
   /// file cannot be opened, the budget cannot fund the cache frames, or
-  /// the knobs are inconsistent (readahead/prefetch without cache frames).
+  /// the knobs are inconsistent (prefetch depth without cache frames).
   [[nodiscard]] static StatusOr<std::unique_ptr<SortEnv>> Create(
       SortEnvOptions options);
 
@@ -281,7 +282,7 @@ class SortEnv {
   /// order), then still-active ones. Safe to call while jobs run.
   std::vector<SessionStats> session_stats() const;
 
-  /// The `sessions` array of nexsort-stats-v1.
+  /// The `sessions` array of nexsort-stats-v2.
   void SessionsToJson(JsonWriter* writer) const;
 
   /// Write back every cached dirty block, surfacing any deferred
@@ -292,7 +293,7 @@ class SortEnv {
 
   /// Serialize the env's composition (block size, budget, device layers,
   /// cache/parallel knobs) as one JSON object — the `env` block of
-  /// nexsort-stats-v1.
+  /// nexsort-stats-v2.
   void DescribeJson(JsonWriter* writer) const;
 
  private:
@@ -312,6 +313,8 @@ class SortEnv {
   std::vector<std::unique_ptr<BlockDevice>> layers_;  // bottom-up wrappers
   BlockDevice* physical_ = nullptr;  // top of layers_, or base_
   std::unique_ptr<CachedBlockDevice> cache_;  // null when caching is off
+  // Declared after cache_: destroyed first, so the look-ahead loads it
+  // runs for the cache finish while the pool is alive.
   std::unique_ptr<WorkerPool> worker_pool_;   // null when serial
 
   mutable Mutex sessions_mutex_{"SortEnv::sessions_mutex_",
@@ -331,7 +334,8 @@ class SortEnv {
 ///   ASSIGN_OR_RETURN(auto env, SortEnvBuilder()
 ///                                  .BlockSize(4096)
 ///                                  .MemoryBlocks(64)
-///                                  .Cache(32, /*readahead=*/4)
+///                                  .Cache(32)
+///                                  .PrefetchDepth(4)
 ///                                  .Threads(2)
 ///                                  .Build());
 class SortEnvBuilder {
@@ -360,16 +364,17 @@ class SortEnvBuilder {
     return Layer(DeviceLayer::Throttle(model));
   }
   SortEnvBuilder& FaultLayer() { return Layer(DeviceLayer::Fault()); }
-  SortEnvBuilder& Cache(uint64_t frames, uint64_t readahead = 0) {
-    options_.cache = CacheOptions{frames, readahead};
+  SortEnvBuilder& Cache(uint64_t frames) {
+    options_.cache.frames = frames;
     return *this;
   }
   SortEnvBuilder& Threads(uint32_t threads) {
     options_.parallel.threads = threads;
     return *this;
   }
+  /// Read-ahead window of the cache (CacheOptions::prefetch_depth).
   SortEnvBuilder& PrefetchDepth(uint32_t depth) {
-    options_.parallel.prefetch_depth = depth;
+    options_.cache.prefetch_depth = depth;
     return *this;
   }
   SortEnvBuilder& SortMemoryBlocks(uint64_t blocks) {

@@ -1,6 +1,6 @@
 // Bounded blocking queue: the hand-off primitive between the foreground
 // pipeline and its background workers (spiller jobs, worker-pool tasks,
-// prefetch requests). Capacity is fixed at construction so a fast producer
+// look-ahead loads). Capacity is fixed at construction so a fast producer
 // exerts back-pressure instead of queueing unbounded work — the memory
 // discipline everywhere else in this repo (MemoryBudget) would be defeated
 // by an unbounded task list. Safe for any number of producers/consumers
@@ -29,6 +29,15 @@ class BoundedQueue {
     MutexLock lock(&mutex_);
     while (!closed_ && items_.size() >= capacity_) not_full_.Wait(&mutex_);
     if (closed_) return false;
+    items_.push_back(std::move(item));
+    not_empty_.Signal();
+    return true;
+  }
+
+  /// Non-blocking push; false (dropping the item) when full or closed.
+  bool TryPush(T item) NEXSORT_EXCLUDES(mutex_) {
+    MutexLock lock(&mutex_);
+    if (closed_ || items_.size() >= capacity_) return false;
     items_.push_back(std::move(item));
     not_empty_.Signal();
     return true;

@@ -13,7 +13,6 @@ void ParallelStats::MergeFrom(const ParallelStats& other) {
   parallel_sorts += other.parallel_sorts;
   sort_partitions += other.sort_partitions;
   prefetch_issued += other.prefetch_issued;
-  prefetch_declined += other.prefetch_declined;
   spill_wait_seconds += other.spill_wait_seconds;
   spill_busy_seconds += other.spill_busy_seconds;
 }
@@ -32,8 +31,6 @@ void ParallelStats::ToJson(JsonWriter* writer) const {
   writer->Uint(sort_partitions);
   writer->Key("prefetch_issued");
   writer->Uint(prefetch_issued);
-  writer->Key("prefetch_declined");
-  writer->Uint(prefetch_declined);
   writer->Key("spill_wait_seconds");
   writer->Double(spill_wait_seconds);
   writer->Key("spill_busy_seconds");
@@ -67,8 +64,6 @@ void ParallelContext::PublishMetrics(Tracer* tracer) const {
       ->Add(snapshot.sort_partitions);
   metrics->GetCounter("parallel_prefetch_issued")
       ->Add(snapshot.prefetch_issued);
-  metrics->GetCounter("parallel_prefetch_declined")
-      ->Add(snapshot.prefetch_declined);
   // Overlap time as millisecond gauges (gauges are integral).
   metrics->GetGauge("parallel_spill_wait_ms")
       ->Set(static_cast<uint64_t>(snapshot.spill_wait_seconds * 1e3));

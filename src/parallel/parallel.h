@@ -1,11 +1,11 @@
 // ParallelOptions/ParallelStats/ParallelContext: the configuration knob,
 // the counters, and the shared worker-pool handle for the overlapped sort
-// pipeline (double-buffered run formation, partitioned spill sorting,
-// merge-input prefetching). Everything defaults *off* — `threads == 0`
-// reproduces the serial pipeline exactly — and every engagement point
-// degrades gracefully, recording why it declined instead of failing, so
-// output bytes and logical I/O counts are identical whether or not the
-// pipeline actually overlapped.
+// pipeline (double-buffered run formation, partitioned spill sorting;
+// the BufferPool's look-ahead loads also run on the pool). Everything
+// defaults *off* — `threads == 0` reproduces the serial pipeline
+// exactly — and every engagement point degrades gracefully, recording why
+// it declined instead of failing, so output bytes and logical I/O counts
+// are identical whether or not the pipeline actually overlapped.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +28,9 @@ struct ParallelOptions {
   /// Allow double-buffered run formation when the MemoryBudget can afford
   /// a second sort buffer. Only meaningful with threads > 0.
   bool double_buffer = true;
-  /// Merge-input prefetch distance in blocks per source. 0 disables the
-  /// RunPrefetcher. Needs a BufferPool (cache frames) to hold the blocks.
-  uint32_t prefetch_depth = 0;
 
-  /// Anything to do at all? Prefetching runs its own thread, so it works
-  /// even with zero workers.
-  bool enabled() const { return threads > 0 || prefetch_depth > 0; }
+  /// Anything to do at all?
+  bool enabled() const { return threads > 0; }
 };
 
 /// Counters describing what the parallel pipeline actually did — how many
@@ -47,15 +43,14 @@ struct ParallelStats {
   uint64_t double_buffer_declined = 0;  // budget couldn't fund 2nd buffer
   uint64_t parallel_sorts = 0;     // buffer sorts partitioned across pool
   uint64_t sort_partitions = 0;    // total partitions across those sorts
-  uint64_t prefetch_issued = 0;    // blocks pushed by RunPrefetcher
-  uint64_t prefetch_declined = 0;  // merge phases without pool/depth
+  uint64_t prefetch_issued = 0;    // merge look-ahead loads run on workers
   double spill_wait_seconds = 0.0;  // foreground blocked on spiller
   double spill_busy_seconds = 0.0;  // background busy in spill jobs
 
   void MergeFrom(const ParallelStats& other);
 
   /// One JSON object with every counter (schema: the "parallel" block of
-  /// nexsort-stats-v1; see docs/PARALLELISM.md).
+  /// nexsort-stats-v2; see docs/PARALLELISM.md).
   void ToJson(JsonWriter* writer) const;
 };
 
@@ -67,9 +62,8 @@ struct ParallelStats {
 /// ExtSortOptions, so nested subtree sorts share the pool too.
 class ParallelContext {
  public:
-  /// `pool` is not owned (may be null = no background workers; the
-  /// prefetcher still works, it runs its own thread) and must outlive the
-  /// context. Pool construction itself lives in SortEnv.
+  /// `pool` is not owned (may be null = no background workers) and must
+  /// outlive the context. Pool construction itself lives in SortEnv.
   ParallelContext(ParallelOptions options, WorkerPool* pool);
 
   const ParallelOptions& options() const { return options_; }

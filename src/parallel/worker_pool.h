@@ -33,6 +33,14 @@ class WorkerPool {
   /// down (the task is not run).
   bool Submit(std::function<void()> task);
 
+  /// Enqueue a task only if a worker thread can take it without the
+  /// caller waiting: false (the task is dropped) with no worker threads,
+  /// a full queue, or a shut-down pool. For best-effort work the caller
+  /// would rather do inline than stall on.
+  bool TrySubmit(std::function<void()> task) {
+    return !workers_.empty() && tasks_.TryPush(std::move(task));
+  }
+
   size_t size() const { return workers_.size(); }
 
   /// Instantaneous load gauges for the telemetry sampler: tasks waiting

@@ -562,7 +562,7 @@ std::string SortService::StatsJson() const {
   JsonWriter writer;
   writer.BeginObject();
   writer.Key("schema");
-  writer.String("nexsortd-stats-v1");
+  writer.String("nexsortd-stats-v2");
   writer.Key("uptime_seconds");
   writer.Double(NowSeconds());
   writer.Key("env");

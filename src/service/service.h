@@ -95,7 +95,7 @@ struct JobRequest {
   /// SortedStream instead of the eager Sort call. Output bytes are
   /// identical; the job's status additionally reports
   /// `time_to_first_byte_ms` — the latency until the first sorted chunk
-  /// surfaced — in `nexsortd-stats-v1`.
+  /// surfaced — in `nexsortd-stats-v2`.
   bool stream = false;
 
   /// Sort jobs only: merge-scheduling policy — "planned" (default),
@@ -184,7 +184,7 @@ class SortService {
   /// running jobs (false = drain them first). Joins the executors.
   void Shutdown(bool cancel_inflight);
 
-  /// The daemon stats document, `nexsortd-stats-v1`: env composition,
+  /// The daemon stats document, `nexsortd-stats-v2`: env composition,
   /// live `sessions` array, queue/admission/tenant state, and the job
   /// table.
   [[nodiscard]] std::string StatsJson() const;

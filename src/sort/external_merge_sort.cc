@@ -10,7 +10,6 @@
 #include "extmem/stream.h"
 #include "obs/tracer.h"
 #include "parallel/async_spiller.h"
-#include "parallel/run_prefetcher.h"
 #include "parallel/worker_pool.h"
 #include "sort/replacement_selection.h"
 #include "util/cancellation.h"
@@ -72,8 +71,6 @@ Status RecordRunSource::Advance() {
   return Status::OK();
 }
 
-uint64_t RecordRunSource::run_offset() const { return reader_.offset(); }
-
 ExternalMergeSorter::ExternalMergeSorter(RunStore* store,
                                          ExtSortOptions options)
     : store_(store), options_(options) {
@@ -105,9 +102,8 @@ ExternalMergeSorter::~ExternalMergeSorter() {
   // An in-flight background spill references our buffers and run list;
   // wait it out before tearing anything down.
   if (spiller_ != nullptr) (void)spiller_->WaitIdle();
-  // Drop the drain's read advice: the result run's block ids recycle into
-  // later runs, and stale advice would prefetch them at the wrong time.
-  if (advised_result_) options_.buffer_pool->ClearReadAdvice();
+  // Retire the drain's read advice before its run is freed below.
+  (void)result_advice_.Release();
   PublishStats();
   for (RunHandle run : runs_) {
     (void)store_->FreeRun(run);  // best-effort cleanup of leftover runs
@@ -309,10 +305,6 @@ void ExternalMergeSorter::PublishStats() {
 
 Status ExternalMergeSorter::MergeAll() {
   const uint64_t fan_in = options_.memory_blocks - 1;
-  const uint64_t block_size = store_->device()->block_size();
-  const uint32_t depth = options_.parallel != nullptr
-                             ? options_.parallel->options().prefetch_depth
-                             : 0;
   std::vector<uint64_t> run_bytes;
   run_bytes.reserve(runs_.size());
   for (const RunHandle& run : runs_) run_bytes.push_back(run.byte_size);
@@ -348,6 +340,19 @@ Status ExternalMergeSorter::MergeAll() {
       options_.tracer->metrics()->GetHistogram("merge_fan_in")
           ->Record(width);
     }
+    // Advise the pool of every input's block order before the readers
+    // open: the merge reads each run strictly in sequence, so the pool can
+    // load ahead of every source (docs/CACHING.md, "Read-ahead").
+    std::vector<BufferPool::ReadAdvice> advice;
+    if (options_.buffer_pool != nullptr) {
+      for (size_t i = 0; i < width; ++i) {
+        std::vector<uint64_t> blocks;
+        RETURN_IF_ERROR(
+            store_->SnapshotBlocks(nodes[step.inputs[i]], &blocks));
+        advice.push_back(
+            options_.buffer_pool->AdviseReadSequence(std::move(blocks)));
+      }
+    }
     std::vector<std::unique_ptr<RecordRunSource>> sources;
     std::vector<MergeSource*> raw;
     for (size_t i = 0; i < width; ++i) {
@@ -356,32 +361,8 @@ Status ExternalMergeSorter::MergeAll() {
                          "merge plan uses a node early or twice");
       sources.push_back(std::make_unique<RecordRunSource>(
           store_, nodes[node], options_.temp_category));
-      sources.back()->set_source_index(i);
       RETURN_IF_ERROR(sources.back()->Open());
       raw.push_back(sources.back().get());
-    }
-    // Prefetch this step's input blocks into the buffer pool ahead of
-    // consumption. The merge readers go through the CachedBlockDevice
-    // over the same pool, so their logical reads are unchanged — the
-    // prefetcher only moves the physical load off the critical path.
-    std::unique_ptr<RunPrefetcher> prefetcher;
-    std::vector<uint64_t> reported;
-    if (depth > 0) {
-      if (options_.buffer_pool == nullptr) {
-        ++pstats_.prefetch_declined;
-      } else {
-        std::vector<RunPrefetcher::Source> prefetch_sources;
-        for (size_t i = 0; i < width; ++i) {
-          RunPrefetcher::Source source;
-          RETURN_IF_ERROR(
-              store_->SnapshotBlocks(nodes[step.inputs[i]], &source.blocks));
-          prefetch_sources.push_back(std::move(source));
-        }
-        prefetcher = std::make_unique<RunPrefetcher>(
-            options_.buffer_pool, options_.temp_category, depth,
-            std::move(prefetch_sources));
-        reported.assign(width, 0);
-      }
     }
     LoserTree tree(std::move(raw));
     RunHandle merged;
@@ -401,21 +382,12 @@ Status ExternalMergeSorter::MergeAll() {
         step_status = AppendRecord(&writer, source->key(), source->value());
         if (!step_status.ok()) break;
         step_status = tree.AdvanceMin();
-        if (!step_status.ok()) break;
-        if (prefetcher != nullptr && !source->exhausted()) {
-          uint64_t block = source->run_offset() / block_size;
-          size_t index = source->source_index();
-          if (block + 1 > reported[index]) {
-            reported[index] = block + 1;
-            prefetcher->OnConsumed(index, block);
-          }
-        }
       }
       if (step_status.ok()) step_status = writer.Finish(&merged);
     }
-    if (prefetcher != nullptr) {
-      prefetcher->Stop();  // before the inputs it reads are freed
-      pstats_.prefetch_issued += prefetcher->issued();
+    // Retire the advice before the inputs are freed below.
+    for (BufferPool::ReadAdvice& input : advice) {
+      pstats_.prefetch_issued += input.Release();
     }
     RETURN_IF_ERROR(step_status);
     sources.clear();  // release reader buffers before freeing inputs
@@ -472,15 +444,13 @@ Status ExternalMergeSorter::MergeAndOpenResult() {
   }
   PublishStats();
   RETURN_IF_ERROR(merged);
-  // Teach the pool the drain's exact block order before the reader opens:
-  // with DFS placement most of it is id-adjacent already, but the advice
-  // also covers the extent seams the sequential detector would miss.
-  if (options_.buffer_pool != nullptr &&
-      options_.buffer_pool->options().readahead > 0) {
+  // Teach the pool the drain's exact block order before the reader opens,
+  // extent seams included.
+  if (options_.buffer_pool != nullptr) {
     std::vector<uint64_t> blocks;
     if (store_->SnapshotBlocks(runs_.front(), &blocks).ok()) {
-      options_.buffer_pool->AdviseReadSequence(std::move(blocks));
-      advised_result_ = true;
+      result_advice_ =
+          options_.buffer_pool->AdviseReadSequence(std::move(blocks));
     }
   }
   result_source_ = std::make_unique<RecordRunSource>(

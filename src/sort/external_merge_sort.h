@@ -14,9 +14,11 @@
 //    the serial path, when the budget cannot afford it);
 //  * partitioned buffer sorts — the in-memory sort of a full buffer is
 //    split across the pool and merged (the record comparator is a strict
-//    total order, so the result is bit-identical to the serial sort);
-//  * merge-input prefetching — a RunPrefetcher stays prefetch_depth blocks
-//    ahead of each merge source inside the BufferPool.
+//    total order, so the result is bit-identical to the serial sort).
+//
+// With a BufferPool attached, every merge step advises the pool of its
+// input runs' block order, and the drain advises the merged result's, so
+// the pool's read-ahead loads ahead of the readers (docs/CACHING.md).
 //
 // Run boundaries, run contents, merge order, and logical I/O are identical
 // with and without a context; only the wall-clock schedule changes.
@@ -28,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cache/buffer_pool.h"
 #include "extmem/block_device.h"
 #include "extmem/memory_budget.h"
 #include "extmem/run_store.h"
@@ -41,7 +44,6 @@
 
 namespace nexsort {
 
-class BufferPool;
 class Tracer;
 class AsyncSpiller;
 class ReplacementSelectionFormer;
@@ -64,9 +66,10 @@ struct ExtSortOptions {
   /// share a single worker pool.
   ParallelContext* parallel = nullptr;
 
-  /// The block cache's pool (not owned; may be null), required for merge
-  /// prefetching: prefetched blocks live in its frames, and merge readers
-  /// must go through the corresponding CachedBlockDevice to hit them.
+  /// The block cache's pool (not owned; may be null), advised of every
+  /// merge input's and the drained result's block order: loaded-ahead
+  /// blocks live in its frames, and the readers must go through the
+  /// corresponding CachedBlockDevice to hit them.
   BufferPool* buffer_pool = nullptr;
 
   /// Cooperative cancellation (not owned; may be null = never cancelled).
@@ -121,18 +124,8 @@ class RecordRunSource final : public MergeSource {
 
   std::string_view value() const { return value_; }
 
-  /// Byte offset of the next unread record within the run (for merge
-  /// prefetching: offset / block_size is the run-block currently in use).
-  uint64_t run_offset() const;
-
-  /// Position of this source within its merge group, so the merge loop can
-  /// report consumption to the prefetcher without a pointer lookup.
-  void set_source_index(size_t index) { source_index_ = index; }
-  size_t source_index() const { return source_index_; }
-
  private:
   RunReader reader_;
-  size_t source_index_ = 0;
   bool exhausted_ = false;
   std::string key_;
   std::string value_;
@@ -249,7 +242,7 @@ class ExternalMergeSorter {
   size_t mem_cursor_ = 0;
   std::unique_ptr<RecordRunSource> result_source_;
   bool result_primed_ = false;
-  bool advised_result_ = false;  // pool read-advice installed for the drain
+  BufferPool::ReadAdvice result_advice_;  // drain's read advice, if any
 
   // Declared last: destroyed first, so an in-flight background spill
   // drains before the buffers and run list it references go away.

@@ -105,7 +105,7 @@ class MergePlanner {
 };
 
 /// Aggregated description of the merge plans one job executed; the
-/// `merge_plan` block of nexsort-stats-v1 (docs/OBSERVABILITY.md). A job
+/// `merge_plan` block of nexsort-stats-v2 (docs/OBSERVABILITY.md). A job
 /// may run many external sorts (NEXSORT runs one per oversized subtree),
 /// so counters accumulate across plans; the invariant
 ///   fanin_total == input_runs + steps - plans

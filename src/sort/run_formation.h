@@ -31,7 +31,7 @@ const char* RunFormationPolicyName(RunFormationPolicy policy);
 
 /// Run-length accounting shared by both policies: how many runs formation
 /// produced and how big they were, in whole blocks (ceil). Feeds the
-/// "sort" block of nexsort-stats-v1 (runs_formed / avg_run_blocks /
+/// "sort" block of nexsort-stats-v2 (runs_formed / avg_run_blocks /
 /// max_run_blocks).
 struct RunFormationStats {
   uint64_t runs_formed = 0;

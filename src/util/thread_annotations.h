@@ -96,7 +96,6 @@ inline constexpr int kScratchNamespace = 25;  // ScratchNamespace::mutex_
 inline constexpr int kSessionTable = 30;      // SortEnv::sessions_mutex_
 inline constexpr int kRunStore = 40;          // RunStore::mutex_
 inline constexpr int kAsyncSpiller = 45;      // AsyncSpiller::mutex_
-inline constexpr int kRunPrefetcher = 46;     // RunPrefetcher::mutex_
 inline constexpr int kParallelStats = 47;     // ParallelContext::mutex_
 inline constexpr int kTaskQueue = 48;         // BoundedQueue<T>::mutex_
 inline constexpr int kSortPartition = 49;     // sort-pass shared state

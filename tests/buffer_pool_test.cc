@@ -1,12 +1,20 @@
 // Buffer-pool subsystem tests: pin/unpin reference counting, CLOCK
 // eviction, dirty write-back (category-preserving, deferred-failure
-// surfacing), read-ahead, budget accounting, and a randomized property
-// test that a CachedBlockDevice leaves the backing device byte-identical
-// to an uncached run under interleaved readers and writers.
+// surfacing), advised read-ahead (window sharing, concurrent advisers,
+// handle lifetime), budget accounting, and a randomized property test
+// that a CachedBlockDevice leaves the backing device byte-identical to
+// an uncached run under interleaved readers, writers, and read advice.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/buffer_pool.h"
@@ -14,6 +22,7 @@
 #include "extmem/block_device.h"
 #include "extmem/memory_budget.h"
 #include "extmem/stream.h"
+#include "parallel/worker_pool.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 #include "xml/generator.h"
@@ -175,33 +184,45 @@ TEST(BufferPool, FlushWritesAllDirtyFramesOnce) {
   }
 }
 
-TEST(BufferPool, ReadAheadPrefetchesDetectedSequentialScan) {
+// `count` blocks on a fresh memory device, block i filled with 'A' + i%26.
+std::unique_ptr<BlockDevice> FilledDevice(uint64_t count) {
   auto device = NewMemoryBlockDevice(kBlock);
-  MemoryBudget budget(16);
   uint64_t first = 0;
-  NEX_ASSERT_OK(device->Allocate(32, &first));
-  for (uint64_t id = 0; id < 32; ++id) {
+  EXPECT_TRUE(device->Allocate(count, &first).ok());
+  for (uint64_t id = 0; id < count; ++id) {
     std::string data = Fill(static_cast<char>('A' + (id % 26)));
-    NEX_ASSERT_OK(device->Write(id, data.data()));
+    EXPECT_TRUE(device->Write(id, data.data()).ok());
   }
   device->mutable_stats()->Clear();
+  return device;
+}
 
-  BufferPool pool(device.get(), &budget, {.frames = 8, .readahead = 4});
+std::vector<uint64_t> Iota(uint64_t first, uint64_t count) {
+  std::vector<uint64_t> ids(count);
+  std::iota(ids.begin(), ids.end(), first);
+  return ids;
+}
+
+TEST(BufferPool, AdvisedScanPrefetchesWithoutDuplicateReads) {
+  auto device = FilledDevice(32);
+  MemoryBudget budget(16);
+  BufferPool pool(device.get(), &budget, {.frames = 8, .prefetch_depth = 4});
   NEX_ASSERT_OK(pool.init_status());
+  BufferPool::ReadAdvice advice = pool.AdviseReadSequence(Iota(0, 32));
   std::string buf(kBlock, '\0');
   for (uint64_t id = 0; id < 32; ++id) {
     NEX_ASSERT_OK(pool.ReadBlock(id, buf.data(), IoCategory::kInput));
     EXPECT_EQ(buf, Fill(static_cast<char>('A' + (id % 26))));
   }
-  // The scan is detected at the second read; from there prefetched blocks
-  // serve later reads as hits.
-  EXPECT_GT(pool.stats().prefetches, 0u);
-  EXPECT_GT(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().hits + pool.stats().misses, 32u);
+  // The window opens on the second read, so only the first two reads
+  // miss; every later block was loaded ahead.
+  EXPECT_EQ(pool.stats().misses, 2u);
+  EXPECT_EQ(pool.stats().hits, 30u);
+  EXPECT_EQ(pool.stats().prefetches, 30u);
   // Every physical read happened exactly once: 32 logical reads cost 32
-  // physical reads total (prefetch shifts them earlier, never duplicates).
+  // physical reads total (read-ahead shifts them earlier, never repeats).
   EXPECT_EQ(device->stats().reads, 32u);
-  EXPECT_GE(device->stats().sequential_reads, 28u);
+  EXPECT_EQ(advice.Release(), 0u) << "no worker pool, so nothing offloaded";
 }
 
 TEST(BufferPool, RandomAccessDoesNotPrefetch) {
@@ -209,13 +230,188 @@ TEST(BufferPool, RandomAccessDoesNotPrefetch) {
   MemoryBudget budget(16);
   uint64_t first = 0;
   NEX_ASSERT_OK(device->Allocate(16, &first));
-  BufferPool pool(device.get(), &budget, {.frames = 4, .readahead = 4});
+  BufferPool pool(device.get(), &budget, {.frames = 4, .prefetch_depth = 4});
   NEX_ASSERT_OK(pool.init_status());
   std::string buf(kBlock, '\0');
-  for (uint64_t id : {0, 7, 2, 11, 5, 13, 1, 9}) {
+  // Without advice there is no look-ahead at all — not even for the
+  // id-adjacent reads 0, 1, 2.
+  for (uint64_t id : {0, 7, 2, 11, 5, 13, 1, 9, 0, 1, 2}) {
     NEX_ASSERT_OK(pool.ReadBlock(id, buf.data(), IoCategory::kOther));
   }
   EXPECT_EQ(pool.stats().prefetches, 0u);
+}
+
+// The window is min(depth, (frames / 2) / live advised scans), reached
+// by a ramp of one more block per read: a merge as wide as keypath's
+// 23-input steps on 16 frames gets no look-ahead, while a lone scan on
+// the same pool ends up loading `depth` blocks ahead.
+TEST(BufferPool, WindowSharesHalfTheFramesAmongLiveScans) {
+  constexpr uint64_t kScans = 23;
+  constexpr uint64_t kRunBlocks = 4;
+  constexpr uint64_t kLoneFirst = kScans * kRunBlocks;  // never touched
+  auto device = FilledDevice(kLoneFirst + 12);
+  MemoryBudget budget(32);
+  BufferPool pool(device.get(), &budget,
+                  {.frames = 16, .prefetch_depth = 4});
+  NEX_ASSERT_OK(pool.init_status());
+  std::string buf(kBlock, '\0');
+  {
+    std::vector<BufferPool::ReadAdvice> merge;
+    for (uint64_t i = 0; i < kScans; ++i) {
+      merge.push_back(
+          pool.AdviseReadSequence(Iota(i * kRunBlocks, kRunBlocks)));
+    }
+    for (uint64_t block = 0; block < kRunBlocks; ++block) {
+      for (uint64_t i = 0; i < kScans; ++i) {
+        NEX_ASSERT_OK(pool.ReadBlock(i * kRunBlocks + block, buf.data(),
+                                     IoCategory::kRunRead));
+      }
+    }
+    EXPECT_EQ(pool.stats().prefetches, 0u);
+  }
+  BufferPool::ReadAdvice lone =
+      pool.AdviseReadSequence(Iota(kLoneFirst, 12));
+  // Reads at positions 0, 1, 2, 3, 4 open windows of 0, 1, 2, 3, 4
+  // blocks: positions 2..8 are loaded, exactly `depth` past the last read.
+  const uint64_t ramp[] = {0, 1, 3, 5, 7};
+  for (uint64_t pos = 0; pos < 5; ++pos) {
+    NEX_ASSERT_OK(
+        pool.ReadBlock(kLoneFirst + pos, buf.data(), IoCategory::kRunRead));
+    EXPECT_EQ(pool.stats().prefetches, ramp[pos]) << "position " << pos;
+  }
+  // At full width, each further read extends the window by one block.
+  NEX_ASSERT_OK(
+      pool.ReadBlock(kLoneFirst + 5, buf.data(), IoCategory::kRunRead));
+  EXPECT_EQ(pool.stats().prefetches, 8u);
+}
+
+// Two scans advised at once keep their own sequences: neither advice
+// replaces the other, and releasing one leaves the other's in force.
+TEST(BufferPool, ConcurrentAdvisersDoNotOverwriteEachOther) {
+  auto device = FilledDevice(16);
+  MemoryBudget budget(32);
+  BufferPool pool(device.get(), &budget,
+                  {.frames = 16, .prefetch_depth = 2});
+  NEX_ASSERT_OK(pool.init_status());
+  BufferPool::ReadAdvice a = pool.AdviseReadSequence(Iota(0, 8));
+  BufferPool::ReadAdvice b = pool.AdviseReadSequence(Iota(8, 8));
+  std::string buf(kBlock, '\0');
+  for (uint64_t i = 0; i < 4; ++i) {
+    NEX_ASSERT_OK(pool.ReadBlock(i, buf.data(), IoCategory::kRunRead));
+    NEX_ASSERT_OK(pool.ReadBlock(8 + i, buf.data(), IoCategory::kRunRead));
+  }
+  // Each scan read positions 0..3 with windows 0, 1, 2, 2: positions 2..5
+  // were loaded ahead for each.
+  EXPECT_EQ(pool.stats().prefetches, 8u);
+  // Releasing a leaves b's advice in force: b keeps reading ahead to its
+  // end, while a's unread tail is no longer loaded ahead.
+  a.Release();
+  for (uint64_t i = 4; i < 8; ++i) {
+    NEX_ASSERT_OK(pool.ReadBlock(8 + i, buf.data(), IoCategory::kRunRead));
+  }
+  NEX_ASSERT_OK(pool.ReadBlock(6, buf.data(), IoCategory::kRunRead));
+  NEX_ASSERT_OK(pool.ReadBlock(7, buf.data(), IoCategory::kRunRead));
+  EXPECT_EQ(pool.stats().misses, 6u) << "two cold misses per scan, a6, a7";
+  EXPECT_EQ(pool.stats().hits, 8u);
+  EXPECT_EQ(pool.stats().prefetches, 10u);
+  EXPECT_EQ(device->stats().reads, 16u);
+}
+
+// Test device that holds a read of one block until the test opens the
+// gate, so a look-ahead load can be caught in flight deterministically.
+class GatedDevice final : public BlockDevice {
+ public:
+  GatedDevice(BlockDevice* inner, uint64_t gated_block)
+      : BlockDevice(inner->block_size(), DiskModel{}),
+        inner_(inner),
+        gated_block_(gated_block) {
+    SyncNumBlocks(inner->num_blocks());
+  }
+
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ protected:
+  Status DoRead(uint64_t block_id, char* buf, IoCategory category) override {
+    if (block_id == gated_block_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return inner_->Read(block_id, buf, category);
+  }
+  Status DoWrite(uint64_t block_id, const char* buf,
+                 IoCategory category) override {
+    return inner_->Write(block_id, buf, category);
+  }
+  Status DoAllocate(uint64_t /*count*/) override {
+    return Status::InvalidArgument("GatedDevice does not allocate");
+  }
+
+ private:
+  BlockDevice* inner_;
+  const uint64_t gated_block_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+};
+
+// Releasing a handle while one of its loads runs on a worker returns only
+// once that load has finished, and no load touches its blocks afterwards
+// — the rule that lets a merge free its input runs right after.
+TEST(BufferPool, ReleaseWaitsForInFlightLoadAndStopsTheRest) {
+  auto base = FilledDevice(8);
+  GatedDevice gated(base.get(), /*gated_block=*/2);
+  MemoryBudget budget(32);
+  auto workers = std::make_unique<WorkerPool>(1);
+  BufferPool pool(&gated, &budget, {.frames = 16, .prefetch_depth = 2});
+  NEX_ASSERT_OK(pool.init_status());
+  pool.set_workers(workers.get());
+
+  BufferPool::ReadAdvice advice = pool.AdviseReadSequence(Iota(0, 8));
+  std::string buf(kBlock, '\0');
+  // Read 0 opens no window; read 1 queues block 2 on the worker, which
+  // stalls in that load. Read 6 queues block 7 behind it.
+  NEX_ASSERT_OK(pool.ReadBlock(0, buf.data(), IoCategory::kRunRead));
+  NEX_ASSERT_OK(pool.ReadBlock(1, buf.data(), IoCategory::kRunRead));
+  gated.WaitUntilHeld();
+  NEX_ASSERT_OK(pool.ReadBlock(6, buf.data(), IoCategory::kRunRead));
+
+  std::atomic<bool> released{false};
+  uint64_t offloaded = 0;
+  std::thread releaser([&] {
+    offloaded = advice.Release();
+    released = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(released.load()) << "Release returned with a load in flight";
+  gated.Open();
+  releaser.join();
+  const uint64_t prefetches = pool.stats().prefetches;
+  const uint64_t reads = base->stats().reads;
+  EXPECT_GE(prefetches, 1u) << "block 2's load finished before Release";
+  EXPECT_EQ(offloaded, prefetches) << "every worker load counted once";
+
+  // Nothing loads the released scan's blocks afterwards: draining the
+  // worker (block 7's batch was queued) and reading on leave the load
+  // counts where Release left them.
+  pool.set_workers(nullptr);
+  workers.reset();
+  const uint64_t hits = pool.stats().hits;
+  NEX_ASSERT_OK(pool.ReadBlock(2, buf.data(), IoCategory::kRunRead));
+  EXPECT_EQ(pool.stats().hits, hits + 1) << "block 2 stayed resident";
+  NEX_ASSERT_OK(pool.ReadBlock(3, buf.data(), IoCategory::kRunRead));
+  EXPECT_EQ(pool.stats().prefetches, prefetches);
+  EXPECT_EQ(base->stats().reads, reads + 1) << "only block 3's miss";
 }
 
 TEST(CachedBlockDevice, LogicalStatsOnWrapperPhysicalOnBase) {
@@ -341,21 +537,27 @@ TEST(CachedBlockDevice, DeferredWritebackFailureSurfacesFromFlush) {
 }
 
 // Randomized property test: a CachedBlockDevice under interleaved readers
-// and writers — varied frame counts, with and without read-ahead — returns
-// the same bytes as an uncached device and, after Flush, leaves the
-// backing device byte-identical.
+// and writers — varied frame counts, with and without read-ahead, loads
+// inline or on a worker — returns the same bytes as an uncached device
+// and, after Flush, leaves the backing device byte-identical. Random read
+// advice (sequential runs, shuffled orders, stale ids) is registered and
+// released as the operations go, so look-ahead loads interleave with
+// reads, writes, and evictions.
 TEST(CachedBlockDeviceProperty, MatchesUncachedDeviceByteForByte) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Random rng(seed * 7919);
     uint64_t frames = rng.UniformRange(1, 6);
-    uint64_t readahead = rng.OneIn(2) ? rng.UniformRange(1, 4) : 0;
+    uint64_t depth = rng.OneIn(2) ? rng.UniformRange(1, 4) : 0;
 
     auto plain = NewMemoryBlockDevice(kBlock);
     auto backing = NewMemoryBlockDevice(kBlock);
     MemoryBudget budget(frames + 2);
+    WorkerPool workers(seed % 2);  // odd seeds load on a worker thread
     CachedBlockDevice cached(backing.get(), &budget,
-                             {.frames = frames, .readahead = readahead});
+                             {.frames = frames, .prefetch_depth = depth});
     NEX_ASSERT_OK(cached.init_status());
+    cached.pool()->set_workers(&workers);
+    std::vector<BufferPool::ReadAdvice> advice;
 
     uint64_t blocks = rng.UniformRange(8, 24);
     uint64_t first = 0;
@@ -368,6 +570,22 @@ TEST(CachedBlockDeviceProperty, MatchesUncachedDeviceByteForByte) {
     uint64_t scan_b = blocks / 2;
     uint64_t ops = rng.UniformRange(100, 300);
     for (uint64_t op = 0; op < ops; ++op) {
+      if (rng.OneIn(8)) {
+        // Advise a random scan: ascending from a random block, or a
+        // shuffled order, sometimes naming ids past the device's end.
+        std::vector<uint64_t> order;
+        uint64_t length = rng.UniformRange(1, blocks);
+        uint64_t start = rng.Uniform(blocks);
+        for (uint64_t i = 0; i < length; ++i) {
+          order.push_back(rng.OneIn(2) ? (start + i) % blocks
+                                       : rng.Uniform(blocks + 4));
+        }
+        advice.push_back(cached.pool()->AdviseReadSequence(std::move(order)));
+      }
+      if (!advice.empty() && rng.OneIn(10)) {
+        advice.erase(advice.begin() +
+                     static_cast<ptrdiff_t>(rng.Uniform(advice.size())));
+      }
       uint64_t id;
       switch (rng.Uniform(4)) {
         case 0:
@@ -400,6 +618,7 @@ TEST(CachedBlockDeviceProperty, MatchesUncachedDeviceByteForByte) {
       }
     }
 
+    advice.clear();
     NEX_ASSERT_OK(cached.Flush());
     // Caching must save physical I/O, never add it.
     EXPECT_LE(backing->stats().total(), cached.stats().total() +
@@ -427,12 +646,12 @@ TEST(CachedBlockDeviceProperty, NexSortWithCacheMatchesUncachedAndSavesIo) {
   OrderSpec spec = OrderSpec::ByAttribute("id", /*numeric=*/true);
 
   constexpr uint64_t kMemoryBlocks = 48;
-  auto run = [&](uint64_t cache_frames, uint64_t readahead, IoStats* io,
+  auto run = [&](uint64_t cache_frames, uint64_t depth, IoStats* io,
                  uint64_t* peak) {
     SortEnvOptions env_options;
     env_options.block_size = 512;
     env_options.memory_blocks = kMemoryBlocks;
-    env_options.cache = {.frames = cache_frames, .readahead = readahead};
+    env_options.cache = {.frames = cache_frames, .prefetch_depth = depth};
     Env env(std::move(env_options));
     NexSortOptions options;
     options.order = spec;

@@ -32,10 +32,10 @@ TEST(SortEnvCreate, RejectsInvalidOptions) {
     EXPECT_FALSE(SortEnv::Create(std::move(options)).ok());
   }
   {
-    // Readahead is a cache feature; without frames it is a dead knob the
+    // Read-ahead is a cache feature; without frames it is a dead knob the
     // caller probably mis-set.
     SortEnvOptions options;
-    options.cache = {.frames = 0, .readahead = 4};
+    options.cache = {.frames = 0, .prefetch_depth = 4};
     EXPECT_FALSE(SortEnv::Create(std::move(options)).ok());
   }
   {
@@ -43,9 +43,24 @@ TEST(SortEnvCreate, RejectsInvalidOptions) {
     // a cache as large as M would leave the sorts nothing to run on.
     SortEnvOptions options;
     options.memory_blocks = 16;
-    options.cache = {.frames = 16, .readahead = 0};
+    options.cache = {.frames = 16};
     EXPECT_FALSE(SortEnv::Create(std::move(options)).ok());
   }
+}
+
+// The builder's PrefetchDepth sets the cache's one look-ahead knob, so a
+// depth without frames is refused up front instead of silently doing
+// nothing.
+TEST(SortEnvCreate, PrefetchDepthWithoutCacheFramesIsRejected) {
+  auto env_or = SortEnvBuilder().MemoryBlocks(32).PrefetchDepth(4).Build();
+  ASSERT_FALSE(env_or.ok());
+  EXPECT_TRUE(env_or.status().IsInvalidArgument())
+      << env_or.status().ToString();
+
+  auto with_frames =
+      SortEnvBuilder().MemoryBlocks(32).Cache(8).PrefetchDepth(4).Build();
+  ASSERT_TRUE(with_frames.ok()) << with_frames.status().ToString();
+  EXPECT_EQ((*with_frames)->buffer_pool()->options().prefetch_depth, 4u);
 }
 
 TEST(SortEnvCreate, DefaultStackIsBareMemoryDevice) {
@@ -69,7 +84,8 @@ TEST(SortEnvCreate, ComposesLayersCacheAndWorkers) {
                     .Throttle({.access_latency_us = 0,
                                .throughput_mb_per_s = 100000})
                     .FaultLayer()
-                    .Cache(8, /*readahead=*/2)
+                    .Cache(8)
+                    .PrefetchDepth(2)
                     .Threads(2)
                     .Build();
   ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
@@ -115,7 +131,7 @@ TEST(SortEnvDescribe, JsonCarriesTheComposition) {
                     .MemoryBlocks(64)
                     .Throttle()
                     .FaultLayer()
-                    .Cache(8, /*readahead=*/2)
+                    .Cache(8)
                     .Threads(3)
                     .PrefetchDepth(2)
                     .SortMemoryBlocks(4)
@@ -131,7 +147,7 @@ TEST(SortEnvDescribe, JsonCarriesTheComposition) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("\"cache_frames\":8"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"readahead\":2"), std::string::npos) << text;
+  EXPECT_EQ(text.find("readahead"), std::string::npos) << text;
   EXPECT_NE(text.find("\"threads\":3"), std::string::npos) << text;
   EXPECT_NE(text.find("\"prefetch_depth\":2"), std::string::npos) << text;
   EXPECT_NE(text.find("\"sort_memory_blocks\":4"), std::string::npos)

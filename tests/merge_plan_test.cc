@@ -535,13 +535,13 @@ TEST(AdvisoryReadAhead, PrefetchesFollowAdvisedOrderAcrossSeams) {
   uint64_t first = 0;
   NEX_ASSERT_OK(device->Allocate(16, &first));
   MemoryBudget budget(16);
-  BufferPool pool(device.get(), &budget, {.frames = 8, .readahead = 3});
+  BufferPool pool(device.get(), &budget, {.frames = 8, .prefetch_depth = 3});
   NEX_ASSERT_OK(pool.init_status());
 
-  // A deliberately non-adjacent traversal order: the id+1 detector can
-  // never fire, so every prefetch observed comes from the advice.
+  // A deliberately non-adjacent traversal order: id adjacency says
+  // nothing about it, so every prefetch observed comes from the advice.
   std::vector<uint64_t> order = {0, 5, 2, 9, 7, 12};
-  pool.AdviseReadSequence(order);
+  BufferPool::ReadAdvice advice = pool.AdviseReadSequence(order);
   std::vector<char> buf(256);
   for (uint64_t id : order) {
     NEX_ASSERT_OK(pool.ReadBlock(id, buf.data(), IoCategory::kRunRead));
@@ -550,14 +550,14 @@ TEST(AdvisoryReadAhead, PrefetchesFollowAdvisedOrderAcrossSeams) {
   EXPECT_GT(stats.prefetches, 0u) << "advice triggered no prefetch";
   EXPECT_GT(stats.hits, 0u) << "advised prefetches never became hits";
 
-  // Cleared advice: the same scattered order triggers nothing further.
-  pool.ClearReadAdvice();
+  // Released advice: the same scattered order triggers nothing further.
+  advice.Release();
   const uint64_t prefetches_before = stats.prefetches;
   for (uint64_t id : {1u, 6u, 3u, 10u}) {
     NEX_ASSERT_OK(pool.ReadBlock(id, buf.data(), IoCategory::kRunRead));
   }
   EXPECT_EQ(pool.stats().prefetches, prefetches_before)
-      << "stale advice outlived ClearReadAdvice";
+      << "stale advice outlived its handle";
 }
 
 TEST(AdvisoryReadAhead, StaleIdsAndDisabledReadaheadAreHarmless) {
@@ -566,22 +566,27 @@ TEST(AdvisoryReadAhead, StaleIdsAndDisabledReadaheadAreHarmless) {
   NEX_ASSERT_OK(device->Allocate(4, &first));
   MemoryBudget budget(16);
   {
-    // readahead == 0: advice must be a no-op, not a crash.
+    // prefetch_depth == 0: advice must be a no-op, not a crash.
     BufferPool pool(device.get(), &budget, {.frames = 4});
     NEX_ASSERT_OK(pool.init_status());
-    pool.AdviseReadSequence({0, 1, 2});
+    BufferPool::ReadAdvice advice = pool.AdviseReadSequence({0, 1, 2});
     std::vector<char> buf(256);
-    NEX_ASSERT_OK(pool.ReadBlock(0, buf.data(), IoCategory::kRunRead));
+    for (uint64_t id : {0u, 1u, 2u}) {
+      NEX_ASSERT_OK(pool.ReadBlock(id, buf.data(), IoCategory::kRunRead));
+    }
     EXPECT_EQ(pool.stats().prefetches, 0u);
+    EXPECT_EQ(advice.Release(), 0u);
   }
   {
     // Advice naming blocks past the device's end skips them best-effort.
-    BufferPool pool(device.get(), &budget, {.frames = 4, .readahead = 2});
+    BufferPool pool(device.get(), &budget, {.frames = 4, .prefetch_depth = 2});
     NEX_ASSERT_OK(pool.init_status());
-    pool.AdviseReadSequence({0, 999, 1});
+    BufferPool::ReadAdvice advice =
+        pool.AdviseReadSequence({0, 1, 999, 2, 3});
     std::vector<char> buf(256);
-    NEX_ASSERT_OK(pool.ReadBlock(0, buf.data(), IoCategory::kRunRead));
-    NEX_ASSERT_OK(pool.ReadBlock(1, buf.data(), IoCategory::kRunRead));
+    for (uint64_t id : {0u, 1u, 2u, 3u}) {
+      NEX_ASSERT_OK(pool.ReadBlock(id, buf.data(), IoCategory::kRunRead));
+    }
     EXPECT_GE(pool.stats().hits, 1u);
   }
 }

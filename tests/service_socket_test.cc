@@ -200,7 +200,7 @@ TEST_F(ServiceSocketTest, ConcurrentJobsAreByteIdenticalToSoloRuns) {
   ASSERT_TRUE(stats.ok());
   const JsonValue* doc = stats.value().Find("stats");
   ASSERT_NE(doc, nullptr);
-  EXPECT_EQ(doc->GetString("schema"), "nexsortd-stats-v1");
+  EXPECT_EQ(doc->GetString("schema"), "nexsortd-stats-v2");
   const JsonValue* queue = doc->Find("queue");
   ASSERT_NE(queue, nullptr);
   EXPECT_EQ(queue->GetUint("dispatched"), static_cast<uint64_t>(kJobs));

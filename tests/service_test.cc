@@ -793,7 +793,7 @@ TEST(SortService, StatsJsonIsWellFormedAndConsistent) {
   auto stats = JsonValue::Parse(service.StatsJson());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   const JsonValue& doc = stats.value();
-  EXPECT_EQ(doc.GetString("schema"), "nexsortd-stats-v1");
+  EXPECT_EQ(doc.GetString("schema"), "nexsortd-stats-v2");
   ASSERT_NE(doc.Find("env"), nullptr);
   ASSERT_NE(doc.Find("sessions"), nullptr);
   EXPECT_TRUE(doc.Find("sessions")->is_array());
