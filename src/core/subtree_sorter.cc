@@ -613,30 +613,4 @@ StatusOr<RunHandle> ExternalSubtreeSorter::Finish(ElementUnit* root_out) {
   return handle;
 }
 
-StatusOr<RunHandle> SortSubtreeExternal(const SubtreeSortContext& ctx,
-                                        RunHandle input,
-                                        ElementUnit* root_out,
-                                        SubtreeSortStats* stats) {
-  // Convenience wrapper over the streaming sorter for callers whose units
-  // already live in a run (tests; NEXSORT itself streams straight off the
-  // data stack).
-  SubtreeSortContext reduced = ctx;
-  if (reduced.memory_blocks > 4) --reduced.memory_blocks;  // input reader
-  ExternalSubtreeSorter external(reduced, stats);
-  RETURN_IF_ERROR(external.init_status());
-  {
-    RunReader reader = ctx.store->OpenRun(input, 0, IoCategory::kSortTemp);
-    RETURN_IF_ERROR(reader.init_status());
-    std::string buffer(4096, '\0');
-    while (reader.bytes_remaining() > 0) {
-      size_t got = 0;
-      RETURN_IF_ERROR(reader.Read(buffer.data(), buffer.size(), &got));
-      RETURN_IF_ERROR(external.sink()->Append(
-          std::string_view(buffer.data(), got)));
-    }
-  }
-  RETURN_IF_ERROR(ctx.store->FreeRun(input));
-  return external.Finish(root_out);
-}
-
 }  // namespace nexsort

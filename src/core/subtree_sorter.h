@@ -97,15 +97,6 @@ struct SubtreeSortStats {
                                         ElementUnit* root_out,
                                         SubtreeSortStats* stats);
 
-/// Same contract for a subtree too large for memory: units live in run
-/// `input` (consumed and freed). Uses key-path external merge sort.
-/// Complex ordering criteria and kFragment units are not supported on this
-/// path (see DESIGN.md).
-[[nodiscard]] StatusOr<RunHandle> SortSubtreeExternal(const SubtreeSortContext& ctx,
-                                        RunHandle input,
-                                        ElementUnit* root_out,
-                                        SubtreeSortStats* stats);
-
 /// Streaming external subtree sort: serialized units are pushed through
 /// sink() — typically directly from ExtByteStack::PopRegionTo, so the
 /// oversized region never makes an extra round trip through a temp run —

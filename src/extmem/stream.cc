@@ -33,16 +33,24 @@ Status BlockStreamWriter::Append(std::string_view data) {
     byte_size_ += take;
     if (buffer_.size() == block_size) {
       uint64_t id = 0;
-      RETURN_IF_ERROR(device_->Allocate(1, &id));
-      if (!started_) {
-        first_block_ = id;
-        started_ = true;
-      }
+      RETURN_IF_ERROR(NextBlock(&id));
       RETURN_IF_ERROR(device_->Write(id, buffer_.data(), category_));
-      next_block_ = id + 1;
       buffer_.clear();
     }
   }
+  return Status::OK();
+}
+
+Status BlockStreamWriter::NextBlock(uint64_t* id) {
+  RETURN_IF_ERROR(device_->Allocate(1, id));
+  if (!started_) {
+    first_block_ = *id;
+    started_ = true;
+  } else if (*id != next_block_) {
+    return Status::Corruption(
+        "block stream extent split by another allocation on the device");
+  }
+  next_block_ = *id + 1;
   return Status::OK();
 }
 
@@ -52,11 +60,7 @@ Status BlockStreamWriter::Finish(ByteRange* range) {
   if (!buffer_.empty()) {
     buffer_.resize(device_->block_size(), '\0');
     uint64_t id = 0;
-    RETURN_IF_ERROR(device_->Allocate(1, &id));
-    if (!started_) {
-      first_block_ = id;
-      started_ = true;
-    }
+    RETURN_IF_ERROR(NextBlock(&id));
     RETURN_IF_ERROR(device_->Write(id, buffer_.data(), category_));
     buffer_.clear();
   }

@@ -65,7 +65,11 @@ class StringByteSink final : public ByteSink {
   std::string* out_;
 };
 
-/// Appends bytes to a fresh extent on a device; one block buffered.
+/// Appends bytes to a fresh extent on a device; one block buffered. The
+/// extent is (first block, byte size), so nothing else may allocate on the
+/// device while it is written: an interleaved allocation fails the write
+/// with Corruption. Output that must coexist with a running sorter's
+/// scratch belongs in a RunWriter.
 class BlockStreamWriter final : public ByteSink {
  public:
   BlockStreamWriter(BlockDevice* device, MemoryBudget* budget,
@@ -81,6 +85,9 @@ class BlockStreamWriter final : public ByteSink {
   uint64_t bytes_written() const { return byte_size_; }
 
  private:
+  /// Allocate the extent's next block; Corruption if it is not adjacent.
+  [[nodiscard]] Status NextBlock(uint64_t* id);
+
   BlockDevice* device_;
   const IoCategory category_;
   BudgetReservation reservation_;

@@ -1,10 +1,11 @@
 #include "nested/json.h"
 
-#include <cctype>
 #include <vector>
 
 #include "extmem/block_device.h"
-
+#include "extmem/run_store.h"
+#include "nested/json_reader.h"
+#include "obs/json_writer.h"
 #include "util/string_util.h"
 #include "xml/sax_parser.h"
 #include "xml/writer.h"
@@ -13,473 +14,149 @@ namespace nexsort {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// JSON tokenizer
-// ---------------------------------------------------------------------
+using EventType = JsonEvent::Type;
 
-struct Token {
-  enum class Type {
-    kLBrace, kRBrace, kLBracket, kRBracket, kComma, kColon,
-    kString,   // text = decoded value
-    kNumber,   // text = raw lexeme
-    kTrue, kFalse, kNull,
-    kEnd,
-  };
-  Type type = Type::kEnd;
-  std::string text;
-};
-
-class Tokenizer {
- public:
-  explicit Tokenizer(ByteSource* source) : source_(source) {}
-
-  Status Next(Token* token) {
-    RETURN_IF_ERROR(SkipWhitespace());
-    if (AtEof()) {
-      token->type = Token::Type::kEnd;
-      token->text.clear();
-      return Status::OK();
-    }
-    char c = PeekChar();
-    switch (c) {
-      case '{': Advance(1); token->type = Token::Type::kLBrace; return Status::OK();
-      case '}': Advance(1); token->type = Token::Type::kRBrace; return Status::OK();
-      case '[': Advance(1); token->type = Token::Type::kLBracket; return Status::OK();
-      case ']': Advance(1); token->type = Token::Type::kRBracket; return Status::OK();
-      case ',': Advance(1); token->type = Token::Type::kComma; return Status::OK();
-      case ':': Advance(1); token->type = Token::Type::kColon; return Status::OK();
-      case '"': return ParseString(token);
-      case 't': return ParseKeyword("true", Token::Type::kTrue, token);
-      case 'f': return ParseKeyword("false", Token::Type::kFalse, token);
-      case 'n': return ParseKeyword("null", Token::Type::kNull, token);
-      default:
-        if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-          return ParseNumberToken(token);
-        }
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' in JSON");
-    }
-  }
-
- private:
-  Status Fill() {
-    if (eof_) return Status::OK();
-    if (pos_ > 8192) {
-      buffer_.erase(0, pos_);
-      pos_ = 0;
-    }
-    size_t old_size = buffer_.size();
-    buffer_.resize(old_size + 8192);
-    size_t got = 0;
-    Status st = source_->Read(buffer_.data() + old_size, 8192, &got);
-    buffer_.resize(old_size + got);
-    if (!st.ok()) return st;
-    if (got == 0) eof_ = true;
-    return Status::OK();
-  }
-  Status Ensure(size_t n) {
-    while (buffer_.size() - pos_ < n && !eof_) RETURN_IF_ERROR(Fill());
-    return Status::OK();
-  }
-  bool AtEof() { return pos_ >= buffer_.size() && eof_; }
-  char PeekChar() const { return buffer_[pos_]; }
-  void Advance(size_t n) { pos_ += n; }
-
-  Status SkipWhitespace() {
-    while (true) {
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) return Status::OK();
-      char c = PeekChar();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return Status::OK();
-      Advance(1);
-    }
-  }
-
-  Status ParseKeyword(std::string_view word, Token::Type type, Token* token) {
-    RETURN_IF_ERROR(Ensure(word.size()));
-    if (buffer_.size() - pos_ < word.size() ||
-        std::string_view(buffer_.data() + pos_, word.size()) != word) {
-      return Status::ParseError("malformed JSON keyword");
-    }
-    Advance(word.size());
-    token->type = type;
-    token->text.clear();
-    return Status::OK();
-  }
-
-  Status ParseNumberToken(Token* token) {
-    token->type = Token::Type::kNumber;
-    token->text.clear();
-    while (true) {
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) break;
-      char c = PeekChar();
-      if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-          c == '+' || c == '.' || c == 'e' || c == 'E') {
-        token->text.push_back(c);
-        Advance(1);
-      } else {
-        break;
-      }
-    }
-    double value = 0;
-    if (!ParseNumber(token->text, &value)) {
-      return Status::ParseError("malformed JSON number: " + token->text);
-    }
-    return Status::OK();
-  }
-
-  Status ParseString(Token* token) {
-    Advance(1);  // opening quote
-    token->type = Token::Type::kString;
-    token->text.clear();
-    while (true) {
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) return Status::ParseError("unterminated JSON string");
-      char c = PeekChar();
-      Advance(1);
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        token->text.push_back(c);
-        continue;
-      }
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) return Status::ParseError("truncated escape");
-      char esc = PeekChar();
-      Advance(1);
-      switch (esc) {
-        case '"': token->text.push_back('"'); break;
-        case '\\': token->text.push_back('\\'); break;
-        case '/': token->text.push_back('/'); break;
-        case 'b': token->text.push_back('\b'); break;
-        case 'f': token->text.push_back('\f'); break;
-        case 'n': token->text.push_back('\n'); break;
-        case 'r': token->text.push_back('\r'); break;
-        case 't': token->text.push_back('\t'); break;
-        case 'u': {
-          uint32_t cp = 0;
-          RETURN_IF_ERROR(ReadHex4(&cp));
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // Surrogate pair.
-            RETURN_IF_ERROR(Ensure(2));
-            if (buffer_.size() - pos_ < 2 || buffer_[pos_] != '\\' ||
-                buffer_[pos_ + 1] != 'u') {
-              return Status::ParseError("unpaired surrogate");
-            }
-            Advance(2);
-            uint32_t low = 0;
-            RETURN_IF_ERROR(ReadHex4(&low));
-            if (low < 0xDC00 || low > 0xDFFF) {
-              return Status::ParseError("invalid low surrogate");
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          }
-          AppendUtf8(&token->text, cp);
-          break;
-        }
-        default:
-          return Status::ParseError("unknown JSON escape");
-      }
-    }
-  }
-
-  Status ReadHex4(uint32_t* out) {
-    RETURN_IF_ERROR(Ensure(4));
-    if (buffer_.size() - pos_ < 4) {
-      return Status::ParseError("truncated \\u escape");
-    }
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = buffer_[pos_ + i];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= c - '0';
-      else if (c >= 'a' && c <= 'f') value |= c - 'a' + 10;
-      else if (c >= 'A' && c <= 'F') value |= c - 'A' + 10;
-      else return Status::ParseError("bad hex digit in \\u escape");
-    }
-    Advance(4);
-    *out = value;
-    return Status::OK();
-  }
-
-  static void AppendUtf8(std::string* out, uint32_t cp) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  ByteSource* source_;
-  std::string buffer_;
-  size_t pos_ = 0;
-  bool eof_ = false;
-};
-
-// One-token-lookahead cursor over either the live tokenizer or a buffered
-// token vector (used to replay array items after key extraction).
-class TokenCursor {
- public:
-  virtual ~TokenCursor() = default;
-  virtual Status Next(Token* token) = 0;
-
-  Status Peek(Token* token) {
-    if (!has_pending_) {
-      RETURN_IF_ERROR(Next(&pending_));
-      has_pending_ = true;
-    }
-    *token = pending_;
-    return Status::OK();
-  }
-  Status Take(Token* token) {
-    if (has_pending_) {
-      *token = std::move(pending_);
-      has_pending_ = false;
-      return Status::OK();
-    }
-    return Next(token);
-  }
-
- private:
-  Token pending_;
-  bool has_pending_ = false;
-};
-
-class LiveCursor final : public TokenCursor {
- public:
-  explicit LiveCursor(Tokenizer* tokenizer) : tokenizer_(tokenizer) {}
-  Status Next(Token* token) override { return tokenizer_->Next(token); }
-
- private:
-  Tokenizer* tokenizer_;
-};
-
-class ReplayCursor final : public TokenCursor {
- public:
-  explicit ReplayCursor(const std::vector<Token>* tokens)
-      : tokens_(tokens) {}
-  Status Next(Token* token) override {
-    if (index_ >= tokens_->size()) {
-      token->type = Token::Type::kEnd;
-      return Status::OK();
-    }
-    *token = (*tokens_)[index_++];
-    return Status::OK();
-  }
-
- private:
-  const std::vector<Token>* tokens_;
-  size_t index_ = 0;
-};
+bool StartsValue(EventType type) {
+  return type != EventType::kEndObject && type != EventType::kEndArray &&
+         type != EventType::kKey && type != EventType::kEnd;
+}
 
 // ---------------------------------------------------------------------
 // JSON -> element tree
 // ---------------------------------------------------------------------
 
+// Streams reader events into the element encoding. Open containers live on
+// an explicit stack, so nesting depth is bounded by the input, not by the
+// call stack.
 class JsonToXmlTranslator {
  public:
   JsonToXmlTranslator(const JsonSortOptions& options, XmlWriter* writer,
                       JsonSortStats* stats)
-      : options_(options), writer_(writer), stats_(stats) {
+      : writer_(writer), stats_(stats) {
     for (std::string_view part : Split(options.sort_arrays_by, '/')) {
       if (!part.empty()) key_path_.emplace_back(part);
     }
+    keyed_ = !key_path_.empty() || options.sort_arrays_by_value;
   }
 
-  Status TranslateDocument(TokenCursor* cursor) {
-    RETURN_IF_ERROR(EmitValue(cursor, /*nxk=*/nullptr));
-    Token token;
-    RETURN_IF_ERROR(cursor->Take(&token));
-    if (token.type != Token::Type::kEnd) {
-      return Status::ParseError("trailing data after JSON document");
+  Status Translate(JsonReader* reader) {
+    JsonEvent event;
+    while (true) {
+      RETURN_IF_ERROR(reader->Next(&event));
+      if (event.type == EventType::kEnd) return Status::OK();
+      if (!NeedsKey(event)) {
+        RETURN_IF_ERROR(Emit(&event, nullptr));
+        continue;
+      }
+      // An array item's start tag carries its sort key, so buffer the
+      // whole item first. Items therefore need to fit in translation
+      // memory (documents do not).
+      std::vector<JsonEvent> item;
+      item.push_back(std::move(event));
+      while (reader->depth() > open_.size()) {
+        RETURN_IF_ERROR(reader->Next(&event));
+        item.push_back(std::move(event));
+      }
+      for (size_t i = 0; i < item.size(); ++i) {
+        std::string key;
+        bool has_key = NeedsKey(item[i]) && ExtractKey(item, i, &key);
+        RETURN_IF_ERROR(Emit(&item[i], has_key ? &key : nullptr));
+      }
     }
-    return Status::OK();
   }
 
  private:
-  bool ArrayKeyingEnabled() const {
-    return !key_path_.empty() || options_.sort_arrays_by_value;
+  // Does `event` open an array item whose start tag needs an nxk key?
+  bool NeedsKey(const JsonEvent& event) const {
+    return keyed_ && !open_.empty() && open_.back() == 'a' &&
+           StartsValue(event.type);
   }
 
-  Status EmitValue(TokenCursor* cursor, const std::string* nxk) {
-    Token token;
-    RETURN_IF_ERROR(cursor->Take(&token));
-    ++stats_->values;
+  Status Emit(JsonEvent* event, const std::string* nxk) {
     std::vector<XmlAttribute> attrs;
     if (nxk != nullptr) attrs.push_back({"nxk", *nxk});
-    switch (token.type) {
-      case Token::Type::kLBrace: {
+    const char* tag = "z";
+    switch (event->type) {
+      case EventType::kBeginObject:
+        ++stats_->values;
         ++stats_->objects;
-        RETURN_IF_ERROR(writer_->StartElement("o", attrs));
-        RETURN_IF_ERROR(EmitMembers(cursor));
-        return writer_->EndElement();
-      }
-      case Token::Type::kLBracket: {
+        open_.push_back('o');
+        return writer_->StartElement("o", attrs);
+      case EventType::kBeginArray:
+        ++stats_->values;
         ++stats_->arrays;
-        RETURN_IF_ERROR(writer_->StartElement("a", attrs));
-        RETURN_IF_ERROR(EmitItems(cursor));
-        return writer_->EndElement();
-      }
-      case Token::Type::kString:
-        attrs.push_back({"v", std::move(token.text)});
-        RETURN_IF_ERROR(writer_->StartElement("s", attrs));
-        return writer_->EndElement();
-      case Token::Type::kNumber:
-        attrs.push_back({"v", std::move(token.text)});
-        RETURN_IF_ERROR(writer_->StartElement("n", attrs));
-        return writer_->EndElement();
-      case Token::Type::kTrue:
-      case Token::Type::kFalse:
+        open_.push_back('a');
+        return writer_->StartElement("a", attrs);
+      case EventType::kEndObject:
+      case EventType::kEndArray:
+        open_.pop_back();
+        RETURN_IF_ERROR(writer_->EndElement());
+        return ValueDone();
+      case EventType::kKey:
+        return writer_->StartElement("m", {{"k", std::move(event->text)}});
+      case EventType::kString:
+        tag = "s";
+        attrs.push_back({"v", std::move(event->text)});
+        break;
+      case EventType::kNumber:
+        tag = "n";
+        attrs.push_back({"v", std::move(event->text)});
+        break;
+      case EventType::kTrue:
+      case EventType::kFalse:
+        tag = "b";
         attrs.push_back(
-            {"v", token.type == Token::Type::kTrue ? "true" : "false"});
-        RETURN_IF_ERROR(writer_->StartElement("b", attrs));
-        return writer_->EndElement();
-      case Token::Type::kNull:
-        RETURN_IF_ERROR(writer_->StartElement("z", attrs));
-        return writer_->EndElement();
-      default:
-        return Status::ParseError("unexpected token in JSON value");
+            {"v", event->type == EventType::kTrue ? "true" : "false"});
+        break;
+      default:  // kNull
+        break;
     }
+    ++stats_->values;
+    RETURN_IF_ERROR(writer_->StartElement(tag, attrs));
+    RETURN_IF_ERROR(writer_->EndElement());
+    return ValueDone();
   }
 
-  Status EmitMembers(TokenCursor* cursor) {
-    Token token;
-    RETURN_IF_ERROR(cursor->Peek(&token));
-    if (token.type == Token::Type::kRBrace) return cursor->Take(&token);
-    while (true) {
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type != Token::Type::kString) {
-        return Status::ParseError("expected member name");
-      }
-      std::string name = std::move(token.text);
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type != Token::Type::kColon) {
-        return Status::ParseError("expected ':' after member name");
-      }
-      RETURN_IF_ERROR(writer_->StartElement("m", {{"k", name}}));
-      RETURN_IF_ERROR(EmitValue(cursor, nullptr));
-      RETURN_IF_ERROR(writer_->EndElement());
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type == Token::Type::kRBrace) return Status::OK();
-      if (token.type != Token::Type::kComma) {
-        return Status::ParseError("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  Status EmitItems(TokenCursor* cursor) {
-    Token token;
-    RETURN_IF_ERROR(cursor->Peek(&token));
-    if (token.type == Token::Type::kRBracket) return cursor->Take(&token);
-    while (true) {
-      if (ArrayKeyingEnabled()) {
-        // Buffer the item's tokens to extract its sort key; the value
-        // element's start tag must already carry it. Items therefore need
-        // to fit in translation memory (documents do not).
-        std::vector<Token> item;
-        RETURN_IF_ERROR(BufferValue(cursor, &item));
-        std::string key;
-        bool has_key = ExtractKey(item, &key);
-        ReplayCursor replay(&item);
-        RETURN_IF_ERROR(EmitValue(&replay, has_key ? &key : nullptr));
-      } else {
-        RETURN_IF_ERROR(EmitValue(cursor, nullptr));
-      }
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type == Token::Type::kRBracket) return Status::OK();
-      if (token.type != Token::Type::kComma) {
-        return Status::ParseError("expected ',' or ']' in array");
-      }
-    }
-  }
-
-  // Copy one complete value's tokens from the cursor.
-  Status BufferValue(TokenCursor* cursor, std::vector<Token>* out) {
-    int depth = 0;
-    do {
-      Token token;
-      RETURN_IF_ERROR(cursor->Take(&token));
-      switch (token.type) {
-        case Token::Type::kLBrace:
-        case Token::Type::kLBracket:
-          ++depth;
-          break;
-        case Token::Type::kRBrace:
-        case Token::Type::kRBracket:
-          --depth;
-          break;
-        case Token::Type::kEnd:
-          return Status::ParseError("truncated JSON value");
-        default:
-          break;
-      }
-      out->push_back(std::move(token));
-    } while (depth > 0);
+  // A value just ended; inside an object, close its member wrapper.
+  Status ValueDone() {
+    if (!open_.empty() && open_.back() == 'o') return writer_->EndElement();
     return Status::OK();
   }
 
-  // Scalar value at key_path_ inside a buffered item (or the item itself
-  // for scalar arrays). Returns false when absent.
-  bool ExtractKey(const std::vector<Token>& item, std::string* key) const {
-    size_t pos = 0;
+  // Scalar at key_path_ inside the complete buffered value starting at
+  // item[pos] (the value itself for scalar arrays). False when absent.
+  bool ExtractKey(const std::vector<JsonEvent>& item, size_t pos,
+                  std::string* key) const {
     for (const std::string& component : key_path_) {
-      if (pos >= item.size() || item[pos].type != Token::Type::kLBrace) {
-        return false;
+      if (item[pos].type != EventType::kBeginObject) return false;
+      ++pos;
+      while (item[pos].type == EventType::kKey && item[pos].text != component) {
+        pos = SkipValue(item, pos + 1);
       }
-      ++pos;  // into the object
-      bool found = false;
-      while (pos < item.size()) {
-        if (item[pos].type == Token::Type::kRBrace) break;
-        if (item[pos].type == Token::Type::kComma) {
-          ++pos;
-          continue;
-        }
-        // member: String Colon value
-        if (item[pos].type != Token::Type::kString) return false;
-        bool match = item[pos].text == component;
-        pos += 2;  // skip name + colon
-        if (match) {
-          found = true;
-          break;
-        }
-        pos = SkipValue(item, pos);
-      }
-      if (!found) return false;
+      if (item[pos].type != EventType::kKey) return false;  // end of object
+      ++pos;
     }
-    if (key_path_.empty() && !options_.sort_arrays_by_value) return false;
-    if (pos >= item.size()) return false;
-    const Token& token = item[pos];
-    switch (token.type) {
-      case Token::Type::kString:
-      case Token::Type::kNumber:
-        *key = token.text;
+    switch (item[pos].type) {
+      case EventType::kString:
+      case EventType::kNumber:
+        *key = item[pos].text;
         return true;
-      case Token::Type::kTrue: *key = "true"; return true;
-      case Token::Type::kFalse: *key = "false"; return true;
+      case EventType::kTrue: *key = "true"; return true;
+      case EventType::kFalse: *key = "false"; return true;
       default:
         return false;  // containers and null do not key
     }
   }
 
-  static size_t SkipValue(const std::vector<Token>& tokens, size_t pos) {
-    int depth = 0;
+  // Index just past the complete value starting at item[pos].
+  static size_t SkipValue(const std::vector<JsonEvent>& item, size_t pos) {
+    size_t depth = 0;
     do {
-      if (pos >= tokens.size()) return pos;
-      switch (tokens[pos].type) {
-        case Token::Type::kLBrace:
-        case Token::Type::kLBracket: ++depth; break;
-        case Token::Type::kRBrace:
-        case Token::Type::kRBracket: --depth; break;
+      switch (item[pos].type) {
+        case EventType::kBeginObject:
+        case EventType::kBeginArray: ++depth; break;
+        case EventType::kEndObject:
+        case EventType::kEndArray: --depth; break;
         default: break;
       }
       ++pos;
@@ -487,39 +164,12 @@ class JsonToXmlTranslator {
     return pos;
   }
 
-  const JsonSortOptions& options_;
   XmlWriter* writer_;
   JsonSortStats* stats_;
   std::vector<std::string> key_path_;
+  bool keyed_ = false;
+  std::vector<char> open_;  // 'o' or 'a' per open container
 };
-
-// ---------------------------------------------------------------------
-// element tree -> JSON
-// ---------------------------------------------------------------------
-
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 }  // namespace
 
@@ -549,11 +199,10 @@ Status JsonToXml(ByteSource* input, ByteSink* output,
                  const JsonSortOptions& options, JsonSortStats* stats) {
   JsonSortStats local;
   if (stats == nullptr) stats = &local;
-  Tokenizer tokenizer(input);
-  LiveCursor cursor(&tokenizer);
+  JsonReader reader(input);
   XmlWriter writer(output);
   JsonToXmlTranslator translator(options, &writer, stats);
-  RETURN_IF_ERROR(translator.TranslateDocument(&cursor));
+  RETURN_IF_ERROR(translator.Translate(&reader));
   return writer.Finish();
 }
 
@@ -647,34 +296,43 @@ Status JsonSorter::Sort(ByteSource* input, ByteSink* output) {
   if (used_) return Status::InvalidArgument("JsonSorter is single-use");
   used_ = true;
 
+  // The encoded and the sorted document live in runs, not in contiguous
+  // extents: the sorter allocates device blocks of its own while it writes
+  // (a deep document's stacks spill), which would split an extent.
+  RunStore store(device_, budget_);
+
   // Stage 1: translate JSON into the element encoding, device-resident.
-  ByteRange encoded;
+  RunHandle encoded;
   {
-    BlockStreamWriter writer(device_, budget_, IoCategory::kOther);
+    RunWriter writer = store.NewRun(IoCategory::kOther);
     RETURN_IF_ERROR(writer.init_status());
     RETURN_IF_ERROR(JsonToXml(input, &writer, options_, &stats_));
     RETURN_IF_ERROR(writer.Finish(&encoded));
   }
 
   // Stage 2: NEXSORT the encoded document.
-  ByteRange sorted;
+  RunHandle sorted;
   {
     NexSortOptions sort_options;
     sort_options.order = JsonOrderSpec(options_);
     NexSorter sorter(env_, std::move(sort_options));
-    BlockStreamReader reader(device_, budget_, encoded, IoCategory::kInput);
+    RunReader reader = store.OpenRun(encoded, 0, IoCategory::kInput);
     RETURN_IF_ERROR(reader.init_status());
-    BlockStreamWriter writer(device_, budget_, IoCategory::kOutput);
+    RunWriter writer = store.NewRun(IoCategory::kOutput);
     RETURN_IF_ERROR(writer.init_status());
     RETURN_IF_ERROR(sorter.Sort(&reader, &writer));
     RETURN_IF_ERROR(writer.Finish(&sorted));
     stats_.sort = sorter.stats();
   }
+  RETURN_IF_ERROR(store.FreeRun(encoded));
 
   // Stage 3: translate back to JSON text.
-  BlockStreamReader reader(device_, budget_, sorted, IoCategory::kInput);
-  RETURN_IF_ERROR(reader.init_status());
-  return XmlToJson(&reader, output);
+  {
+    RunReader reader = store.OpenRun(sorted, 0, IoCategory::kInput);
+    RETURN_IF_ERROR(reader.init_status());
+    RETURN_IF_ERROR(XmlToJson(&reader, output));
+  }
+  return store.FreeRun(sorted);
 }
 
 }  // namespace nexsort

@@ -14,6 +14,13 @@
 // Array items additionally carry a synthesized attribute nxk holding their
 // sort key (extracted during translation from the configured member path),
 // which is stripped on the way back.
+//
+// Input is read by the tree's one JSON reader (nested/json_reader.h):
+// strict RFC 8259, errors of the form "json: <what> at byte N", the same
+// verdict JsonValue::Parse gives. Unlike JsonValue there is no depth cap:
+// both translations keep open containers on explicit stacks, so nesting is
+// bounded by the input, as XML depth is; and numbers beyond a double's
+// range are kept, since only their lexeme is ever used.
 #pragma once
 
 #include <string>

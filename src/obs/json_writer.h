@@ -12,6 +12,11 @@
 
 namespace nexsort {
 
+/// Append `value` to *out as a quoted JSON string: '"' and '\\' escaped,
+/// control characters as \b \f \n \r \t or \u00XX, every other byte
+/// copied as is. The one JSON string escaper in the tree.
+void AppendJsonString(std::string* out, std::string_view value);
+
 /// Append-only JSON builder. Usage:
 ///   JsonWriter w;
 ///   w.BeginObject();
@@ -53,7 +58,6 @@ class JsonWriter {
   void OpenContainer(char open);
   void CloseContainer(char close);
   void BeforeValue();
-  void AppendEscaped(std::string_view value);
 
   std::string out_;
   // One flag per open container: true once it has at least one element

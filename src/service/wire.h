@@ -3,13 +3,18 @@
 //
 // The service side needs a *reader* for JSON (requests arrive as text);
 // responses are produced with the streaming JsonWriter like every other
-// emitter in the tree. JsonValue is that reader: a small immutable DOM
-// with the exact feature set the protocol uses (objects, arrays, strings
-// with full escape handling, numbers, booleans, null) and Status-based
-// error reporting with byte-offset positions. It is not a general XML/JSON
-// translation layer — that lives in src/nested/ — just the service's
-// request decoder, shared by nexsortctl so client and daemon can never
-// disagree about framing.
+// emitter in the tree. JsonValue is that reader's DOM: a small immutable
+// tree with the exact feature set the protocol uses (objects, arrays,
+// strings, numbers, booleans, null), shared by nexsortctl so client and
+// daemon can never disagree about framing.
+//
+// JsonValue::Parse builds the tree from the tree's one JSON reader,
+// nested/json_reader.h, so it is exactly as strict as JsonSorter's input
+// (RFC 8259: number grammar, no raw control characters, no unpaired
+// surrogates) and fails with the same "json: <what> at byte N" ParseError.
+// On top of the reader it adds two limits of its own: a value nested inside
+// more than 64 containers ("nesting too deep") and a number that does not
+// fit a finite double ("number out of range") are rejected.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +34,8 @@ class JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Parse one complete JSON document; trailing non-whitespace is an
-  /// error (requests are exactly one object per line).
+  /// error (requests are exactly one object per line). See the file
+  /// comment for the grammar, the error form and the two DOM limits.
   [[nodiscard]] static StatusOr<JsonValue> Parse(std::string_view text);
 
   JsonValue() = default;
@@ -79,8 +85,6 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
-
-  friend class JsonParser;
 };
 
 }  // namespace nexsort

@@ -1,7 +1,6 @@
 #include "xml/escape.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__SSE2__)
@@ -82,7 +81,39 @@ void AppendEscaped(std::string* out, std::string_view in) {
   }
 }
 
-// Append the UTF-8 encoding of `cp` to *out.
+// XML 1.0 Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+// [#x10000-#x10FFFF].
+bool IsXmlChar(uint32_t cp) {
+  if (cp < 0x20) return cp == 0x9 || cp == 0xA || cp == 0xD;
+  return cp <= 0xD7FF || (cp >= 0xE000 && cp <= 0xFFFD) ||
+         (cp >= 0x10000 && cp <= 0x10FFFF);
+}
+
+// Code point of a character reference's body (`#65` or `#x41`), or -1
+// when it is not digits only or names no XML Char.
+int64_t CharReference(std::string_view body) {
+  uint32_t base = 10;
+  body.remove_prefix(1);  // '#'
+  if (!body.empty() && body[0] == 'x') {
+    base = 16;
+    body.remove_prefix(1);
+  }
+  if (body.empty()) return -1;
+  uint32_t cp = 0;
+  for (char c : body) {
+    uint32_t digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
+    else return -1;
+    cp = cp * base + digit;
+    if (cp > 0x10FFFF) return -1;
+  }
+  return IsXmlChar(cp) ? static_cast<int64_t>(cp) : -1;
+}
+
+}  // namespace
+
 void AppendUtf8(std::string* out, uint32_t cp) {
   if (cp < 0x80) {
     out->push_back(static_cast<char>(cp));
@@ -100,8 +131,6 @@ void AppendUtf8(std::string* out, uint32_t cp) {
     out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   }
 }
-
-}  // namespace
 
 void AppendEscapedText(std::string* out, std::string_view text) {
   AppendEscaped</*kAttribute=*/false>(out, text);
@@ -139,15 +168,8 @@ Status AppendUnescaped(
     } else if (entity == "quot") {
       out->push_back('"');
     } else if (entity.size() > 1 && entity[0] == '#') {
-      std::string digits(entity.substr(1));
-      char* endp = nullptr;
-      long cp = 0;
-      if (digits[0] == 'x' || digits[0] == 'X') {
-        cp = std::strtol(digits.c_str() + 1, &endp, 16);
-      } else {
-        cp = std::strtol(digits.c_str(), &endp, 10);
-      }
-      if (endp == nullptr || *endp != '\0' || cp <= 0 || cp > 0x10FFFF) {
+      int64_t cp = CharReference(entity);
+      if (cp < 0) {
         return Status::ParseError("malformed character reference: &" +
                                   std::string(entity) + ";");
       }

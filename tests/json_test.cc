@@ -162,12 +162,27 @@ TEST(Json, SortIsIdempotent) {
 TEST(Json, MalformedInputRejected) {
   for (const char* bad :
        {"{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "\"open", "01x", "[1 2]",
-        "{\"a\":1,}", "\"\\u12\""}) {
+        "{\"a\":1,}", "\"\\u12\"", "01", "1.", "-.5", "+1", "[01]", "[1.]",
+        "[-.5]", "\"a\x01" "b\"", "\"\\udc00\""}) {
     JsonSortOptions options;
     Status status;
     SortJson(bad, options, 1024, 32, &status);
     EXPECT_FALSE(status.ok()) << "input: " << bad;
   }
+}
+
+TEST(Json, HundredThousandDeepArrayRoundTrips) {
+  // The translation keeps open containers on an explicit stack, so JSON
+  // depth is bounded by the input alone, as XML depth is.
+  const int depth = 100000;
+  const std::string json =
+      std::string(depth, '[') + "7" + std::string(depth, ']');
+  EXPECT_EQ(SortJson(json, JsonSortOptions{}, 1024, 32), json);
+  // Keyed arrays buffer each item and re-key its nested items, also
+  // without recursion.
+  JsonSortOptions keyed;
+  keyed.sort_arrays_by_value = true;
+  EXPECT_EQ(SortJson(json, keyed, 1024, 32), json);
 }
 
 TEST(Json, TrailingGarbageRejected) {

@@ -65,6 +65,14 @@ TEST(ServiceWire, RejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::Parse("{\"a\":nul}").ok());
   EXPECT_FALSE(JsonValue::Parse("{\"a\":1e}").ok());
   EXPECT_FALSE(JsonValue::Parse("{\"s\":\"\\ud800\"}").ok());  // unpaired
+  EXPECT_FALSE(JsonValue::Parse("{\"s\":\"\\udc00\"}").ok());  // lone low
+  EXPECT_FALSE(JsonValue::Parse("{\"s\":\"a\x01" "b\"}").ok());  // raw control
+  for (const char* number : {"01", "1.", "-.5", "+1"}) {
+    EXPECT_FALSE(JsonValue::Parse(number).ok()) << number;
+    EXPECT_FALSE(
+        JsonValue::Parse(std::string("{\"n\":") + number + "}").ok())
+        << number;
+  }
 }
 
 TEST(ServiceWire, TypedAccessorsFallBackOnMissingOrMistyped) {

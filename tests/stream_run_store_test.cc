@@ -104,6 +104,19 @@ TEST(BlockStream, SequentialScanCostsOneIoPerBlock) {
   EXPECT_EQ(env.device()->stats().reads - before, 10u);
 }
 
+TEST(BlockStream, InterleavedAllocationFailsInsteadOfCorrupting) {
+  // An extent is (first block, byte size); a block allocated by someone
+  // else between two of its blocks must not be silently read back as part
+  // of the stream.
+  Env env(64, 8);
+  BlockStreamWriter writer(env.device(), env.budget(), IoCategory::kOutput);
+  NEX_ASSERT_OK(writer.init_status());
+  NEX_ASSERT_OK(writer.Append(std::string(64, 'a')));
+  uint64_t foreign = 0;
+  NEX_ASSERT_OK(env.device()->Allocate(1, &foreign));
+  EXPECT_TRUE(writer.Append(std::string(64, 'b')).IsCorruption());
+}
+
 TEST(RunStore, WriteReadRoundTrip) {
   Env env(128, 8);
   RunStore store(env.device(), env.budget());

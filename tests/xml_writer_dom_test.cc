@@ -39,6 +39,18 @@ TEST(Escape, Utf8CharacterReference) {
   EXPECT_EQ(out, "\xE2\x82\xAC");
 }
 
+TEST(Escape, CharacterReferencesAtTheXmlCharBoundaries) {
+  // The edges of XML 1.0's Char production are all accepted.
+  std::string out;
+  NEX_ASSERT_OK(AppendUnescaped(
+      &out, "&#9;&#xA;&#13;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;"
+            "&#x10FFFF;&#0065;"));
+  EXPECT_EQ(out,
+            "\t\n\r \xED\x9F\xBF\xEE\x80\x80\xEF\xBF\xBD"
+            "\xF0\x90\x80\x80\xF4\x8F\xBF\xBF"
+            "A");
+}
+
 // Per-byte reference escaper: the specification the bulk kernels match.
 std::string ReferenceEscape(std::string_view in, bool attribute) {
   std::string out;
@@ -103,6 +115,14 @@ TEST(Escape, MalformedEntitiesFailAnywhere) {
       {"&#65a;", "malformed character reference: &#65a;"},
       {"&#1114112;", "malformed character reference: &#1114112;"},
       {"&#x110000;", "malformed character reference: &#x110000;"},
+      {"&#xD800;", "malformed character reference: &#xD800;"},
+      {"&#xDFFF;", "malformed character reference: &#xDFFF;"},
+      {"&#x 41;", "malformed character reference: &#x 41;"},
+      {"&#+65;", "malformed character reference: &#+65;"},
+      {"&#xFFFE;", "malformed character reference: &#xFFFE;"},
+      {"&#1;", "malformed character reference: &#1;"},
+      {"&#X41;", "malformed character reference: &#X41;"},
+      {"&#99999999999;", "malformed character reference: &#99999999999;"},
   };
   for (const Case& c : cases) {
     for (const std::string& input :
